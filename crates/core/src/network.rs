@@ -207,11 +207,11 @@ pub struct LgfiNetwork {
     publisher: Option<RoutePublisher>,
     /// Resolved probe-decision worker count (>= 1).
     probe_threads: usize,
-    /// Recycled buffers of finished probes (path + used-direction arena + neighbor
+    /// Recycled buffers of finished probes (path + used-direction store + neighbor
     /// slots), reused by subsequent launches: steady-state probe turnover stops
-    /// paying the `O(node_count)` arena allocation per probe, and the network's
-    /// high-water memory is bounded by the maximum number of *concurrent* probes
-    /// rather than the total launched.
+    /// paying a fresh allocation per probe, and the network's high-water memory
+    /// is bounded by the maximum number of *concurrent* probes rather than the
+    /// total launched.
     spare_probes: Vec<(Probe, Vec<NeighborSlot>)>,
     /// Persistent worker pool for the sharded per-step probe decisions (spawned
     /// lazily on the first parallel decision sweep, parked between steps).

@@ -347,78 +347,190 @@ pub enum ProbeStatus {
     Deadlocked,
 }
 
-/// The flat per-node used-direction store of a probe header.
+/// Marks an empty slot in the open-addressed index of [`UsedDirections`].
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// Index slots a [`UsedDirections`] store allocates on its first insert (a power of
+/// two).  At load 1/2 that holds 64 nodes — a minimal route across a 32×32 mesh —
+/// before the first doubling, for 1.5 KB of heap whatever the mesh size.
+const MIN_INDEX_SLOTS: usize = 128;
+
+/// The fixed multiplicative (Fibonacci) hash constant of the index: `2^64 / φ`.
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The per-node used-direction store of a probe header, sized to the probe's
+/// footprint rather than to the mesh.
 ///
-/// The seed implementation kept a `BTreeMap<NodeId, DirectionSet>`, paying a tree
-/// allocation per first visit and a logarithmic lookup per hop.  This store is a
-/// dense node-indexed arena of [`DirectionSet`]s plus the stack of touched nodes:
-/// lookups and inserts are one array access, and [`UsedDirections::clear`] resets in
-/// `O(touched)` by popping the touched stack — so a recycled probe never re-zeroes
-/// (or re-allocates) the whole arena.
+/// The store holds one `(node, set)` entry per node the probe has marked a direction
+/// at, in first-touch order, plus a power-of-two open-addressed index into those
+/// entries (load at most 1/2, linear probing, a fixed multiplicative hash — so the
+/// layout is deterministic and `HashMap` stays out of the engine under DET-001).
+/// Lookups and inserts are one hash and a short probe run; [`UsedDirections::clear`]
+/// resets in `O(touched)` by popping the entries and emptying their index slots, so
+/// a recycled probe keeps its warm capacity and never re-zeroes it.  Heap use
+/// follows the number of nodes touched ([`UsedDirections::heap_bytes`]), never the
+/// mesh: a packet costs the same on a 16×16 and on a 512×512 mesh.
 ///
-/// Semantics are identical to the map: a node's set persists for every node the
-/// probe has ever visited (not only the nodes currently on the path), which is what
-/// makes the backtracking search terminate even under dynamic faults — a probe that
-/// re-enters a node it backtracked out of earlier still remembers the directions it
-/// already burned there.
+/// Semantics are those of a `BTreeMap<NodeId, DirectionSet>`: a node's set persists
+/// for every node the probe has ever visited (not only the nodes currently on the
+/// path), which is what makes the backtracking search terminate even under dynamic
+/// faults — a probe that re-enters a node it backtracked out of earlier still
+/// remembers the directions it already burned there.
 #[derive(Debug, Clone, Default)]
 pub struct UsedDirections {
-    /// Node-indexed used-direction sets (dense, sized to the mesh).
-    sets: Vec<DirectionSet>,
-    /// The nodes whose set is non-empty, in first-touch order; popping these on
-    /// [`UsedDirections::clear`] makes the reset proportional to the probe's
-    /// footprint instead of the mesh size.
-    touched: Vec<NodeId>,
+    /// The size of the mesh the store serves; nodes at or past it are rejected.
+    node_count: usize,
+    /// The touched nodes and their non-empty sets, in first-touch order; popping
+    /// these on [`UsedDirections::clear`] makes the reset proportional to the
+    /// probe's footprint.
+    entries: Vec<(NodeId, DirectionSet)>,
+    /// Open-addressed index into `entries` ([`EMPTY_SLOT`] = free); its length is
+    /// zero until the first insert, then a power of two at least twice
+    /// `entries.len()`.
+    index: Vec<u32>,
 }
 
 impl UsedDirections {
-    /// An empty store sized for `node_count` nodes.
+    /// An empty store for a mesh of `node_count` nodes.  It allocates nothing until
+    /// the first insert.
     pub fn with_node_count(node_count: usize) -> Self {
         UsedDirections {
-            sets: vec![DirectionSet::empty(); node_count],
-            touched: Vec::new(),
+            node_count,
+            entries: Vec::new(),
+            index: Vec::new(),
         }
     }
 
-    /// The number of nodes the store is sized for.
+    /// The number of nodes of the mesh the store serves.
     pub fn node_count(&self) -> usize {
-        self.sets.len()
+        self.node_count
     }
 
     /// The used-direction set recorded at `node`.
+    ///
+    /// # Panics
+    /// Panics if `node` is outside the mesh.
     #[inline]
     pub fn at(&self, node: NodeId) -> DirectionSet {
-        self.sets[node]
+        self.check_node(node);
+        if self.index.is_empty() {
+            return DirectionSet::empty();
+        }
+        match self.index[self.slot_of(node)] {
+            EMPTY_SLOT => DirectionSet::empty(),
+            entry => self.entries[entry as usize].1,
+        }
     }
 
     /// Marks `dir` used at `node`.
+    ///
+    /// # Panics
+    /// Panics if `node` is outside the mesh.
     #[inline]
     pub fn insert(&mut self, node: NodeId, dir: Direction) {
-        if self.sets[node].is_empty() {
-            self.touched.push(node);
+        self.check_node(node);
+        if !self.index.is_empty() {
+            let slot = self.slot_of(node);
+            let entry = self.index[slot];
+            if entry != EMPTY_SLOT {
+                self.entries[entry as usize].1.insert(dir);
+                return;
+            }
+            if 2 * (self.entries.len() + 1) <= self.index.len() {
+                self.push_entry(slot, node, dir);
+                return;
+            }
         }
-        self.sets[node].insert(dir);
+        self.grow();
+        let slot = self.slot_of(node);
+        self.push_entry(slot, node, dir);
     }
 
     /// Number of nodes holding a non-empty set.
     pub fn touched_count(&self) -> usize {
-        self.touched.len()
+        self.entries.len()
     }
 
-    /// Resets every recorded set in `O(touched)` without shrinking the arena.
+    /// Heap bytes the store holds (its capacity, not its length): a function of the
+    /// largest footprint it has recorded, independent of the mesh size.
+    pub fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(NodeId, DirectionSet)>()
+            + self.index.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Resets every recorded set in `O(touched)` without shrinking the buffers.
+    ///
+    /// Entries leave in reverse first-touch order, so every entry still present
+    /// was placed before the one being removed and no probe run it belongs to
+    /// crosses the slot being emptied.
     pub fn clear(&mut self) {
-        while let Some(node) = self.touched.pop() {
-            self.sets[node] = DirectionSet::empty();
+        while let Some(&(node, _)) = self.entries.last() {
+            let slot = self.slot_of(node);
+            self.index[slot] = EMPTY_SLOT;
+            self.entries.pop();
+        }
+    }
+
+    /// Rejects nodes outside the mesh, as indexing a mesh-sized array would.
+    #[inline]
+    fn check_node(&self, node: NodeId) {
+        assert!(
+            node < self.node_count,
+            "node {node} is outside the {}-node mesh of this used-direction store",
+            self.node_count
+        );
+    }
+
+    /// The index slot holding `node`, or the free slot ending its probe run.  The
+    /// index must be non-empty; load at most 1/2 guarantees the run ends.
+    #[inline]
+    fn slot_of(&self, node: NodeId) -> usize {
+        let mask = self.index.len() - 1;
+        let shift = 64 - self.index.len().trailing_zeros();
+        let mut slot = ((node as u64).wrapping_mul(HASH_MUL) >> shift) as usize;
+        loop {
+            match self.index[slot] {
+                EMPTY_SLOT => return slot,
+                entry if self.entries[entry as usize].0 == node => return slot,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Appends `node`'s first entry and points the free `slot` at it.
+    #[inline]
+    fn push_entry(&mut self, slot: usize, node: NodeId, dir: Direction) {
+        let mut set = DirectionSet::empty();
+        set.insert(dir);
+        self.index[slot] = self.entries.len() as u32;
+        self.entries.push((node, set));
+    }
+
+    /// Doubles the index (or allocates the first one) and re-slots every entry;
+    /// the entry buffer is sized to the new index's load limit so it grows in step.
+    #[cold]
+    fn grow(&mut self) {
+        let slots = (2 * self.index.len()).max(MIN_INDEX_SLOTS);
+        assert!(
+            slots / 2 < EMPTY_SLOT as usize,
+            "used-direction store outgrew its u32 entry index"
+        );
+        self.index = vec![EMPTY_SLOT; slots];
+        self.entries.reserve_exact(slots / 2 - self.entries.len());
+        for entry in 0..self.entries.len() {
+            let slot = self.slot_of(self.entries[entry].0);
+            self.index[slot] = entry as u32;
         }
     }
 }
 
 /// A PCS path-setup probe with its header state.
 ///
-/// The probe owns recyclable buffers (the reserved path and the flat
-/// [`UsedDirections`] store); [`Probe::reset`] rewinds it for a new
-/// source/destination pair while keeping the buffers warm, which is how the batched
-/// sweep and the [`ProbeEngine`] achieve zero steady-state allocations per probe.
+/// The probe owns recyclable buffers (the reserved path and the footprint-sized
+/// [`UsedDirections`] store), so its heap follows the nodes it touches, not the
+/// mesh.  [`Probe::reset`] rewinds it for a new source/destination pair while
+/// keeping the buffers at their high-water capacity, which is how the batched sweep
+/// and the [`ProbeEngine`] achieve zero steady-state allocations per probe.
 #[derive(Debug, Clone)]
 pub struct Probe {
     /// The source node.
@@ -594,13 +706,15 @@ impl ProbeOutcome {
 /// A recyclable static-routing worker: owns the probe buffers and the per-hop
 /// neighbor-slot scratch, so routing a probe through a warm engine performs **zero
 /// heap allocations per hop** (proved by `tests/alloc_regression.rs` with a counting
-/// global allocator).
+/// global allocator).  The buffers keep the capacity of the largest route the
+/// engine has carried, so a reader that lives for millions of queries holds
+/// memory in proportion to its longest route, never to the mesh.
 ///
 /// One engine routes one probe at a time; batched sweeps give each worker thread its
 /// own engine (see [`sweep_static`]).
 #[derive(Debug, Default)]
 pub struct ProbeEngine {
-    /// The recycled probe (path + used-direction arena), if one has been routed.
+    /// The recycled probe (path + used-direction store), if one has been routed.
     probe: Option<Probe>,
     /// Direction-indexed neighbor scratch, refilled per hop.
     slots: Vec<NeighborSlot>,
@@ -1045,6 +1159,131 @@ mod tests {
         assert!(probe
             .used_at(mesh.id_of(&coord![0, 0]))
             .contains(Direction::pos(0)));
+    }
+
+    /// Replays seeded random insert/at/clear sequences against a `BTreeMap` model.
+    /// Each run is a walk that mostly steps to fresh nodes but often re-enters one
+    /// it has already marked (the backtrack-and-return pattern of Algorithm 3);
+    /// the last run marks enough distinct nodes to double the index four times.
+    #[test]
+    fn used_directions_match_a_btreemap_model() {
+        use lgfi_sim::DetRng;
+        use std::collections::BTreeMap;
+        let node_count = 1 << 16;
+        let dirs = 6;
+        let mut rng = DetRng::seed_from_u64(0x05ed);
+        let mut store = UsedDirections::with_node_count(node_count);
+        let mut model: BTreeMap<NodeId, DirectionSet> = BTreeMap::new();
+        let mut previous: Vec<NodeId> = Vec::new();
+        let runs = [40, 300, 5, 0, 900, 64, 65, 129, MIN_INDEX_SLOTS << 3];
+        for (run, &fresh) in runs.iter().enumerate() {
+            store.clear();
+            model.clear();
+            assert_eq!(store.touched_count(), 0, "run {run}: clear left entries");
+            for &node in &previous {
+                assert!(
+                    store.at(node).is_empty(),
+                    "run {run}: node {node} survived clear"
+                );
+            }
+            let mut visited: Vec<NodeId> = Vec::new();
+            while model.len() < fresh {
+                let node = if !visited.is_empty() && rng.chance(0.4) {
+                    *rng.choose(&visited)
+                } else {
+                    rng.below(node_count)
+                };
+                let dir = Direction::from_index(rng.below(dirs));
+                store.insert(node, dir);
+                model
+                    .entry(node)
+                    .or_insert_with(DirectionSet::empty)
+                    .insert(dir);
+                visited.push(node);
+                let probe = rng.below(node_count);
+                let expected = model
+                    .get(&probe)
+                    .copied()
+                    .unwrap_or_else(DirectionSet::empty);
+                assert_eq!(store.at(probe), expected, "run {run}: miss at {probe}");
+                assert_eq!(store.at(node), model[&node], "run {run}: set at {node}");
+            }
+            assert_eq!(store.touched_count(), model.len(), "run {run}");
+            for (&node, &set) in &model {
+                assert_eq!(store.at(node), set, "run {run}: final set at {node}");
+            }
+            let firsts: Vec<NodeId> = store.entries.iter().map(|&(node, _)| node).collect();
+            let mut expected_order: Vec<NodeId> = Vec::new();
+            for &node in &visited {
+                if !expected_order.contains(&node) {
+                    expected_order.push(node);
+                }
+            }
+            assert_eq!(
+                firsts, expected_order,
+                "run {run}: entries leave first-touch order"
+            );
+            previous = visited;
+        }
+        assert!(
+            store.index.len() >= MIN_INDEX_SLOTS << 4,
+            "the last run must double the index at least four times (index {})",
+            store.index.len()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn used_directions_reject_out_of_range_nodes_on_insert() {
+        let mut store = UsedDirections::with_node_count(36);
+        store.insert(3, Direction::pos(0));
+        store.insert(36, Direction::pos(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn used_directions_reject_out_of_range_nodes_on_lookup() {
+        let store = UsedDirections::with_node_count(36);
+        let _ = store.at(36);
+    }
+
+    /// The same route — a detour around the same 3×3 block, at the same offset from
+    /// source and destination — costs the same per-probe heap on a 16×16 mesh as
+    /// on a 512×512 one: the used-direction store follows the footprint, not the
+    /// mesh.
+    #[test]
+    fn per_probe_heap_follows_the_route_not_the_mesh() {
+        let route_on = |side: i32, origin: i32| -> (ProbeOutcome, usize, usize) {
+            let at = |x: i32, y: i32| coord![origin + x, origin + y];
+            let block: Vec<Coord> = (5..8)
+                .flat_map(|x| (5..8).map(move |y| (x, y)))
+                .map(|(x, y)| at(x, y))
+                .collect();
+            let env = build_env(Mesh::cubic(side, 2), &block);
+            let mut engine = ProbeEngine::new();
+            let out = engine.route_static(
+                &env.mesh,
+                &env.statuses,
+                env.blocks.blocks(),
+                &env.boundary,
+                &LgfiRouter::new(),
+                env.mesh.id_of(&at(6, 1)),
+                env.mesh.id_of(&at(6, 13)),
+                10_000,
+            );
+            let used = &engine.probe.as_ref().expect("engine kept its probe").used;
+            (out, used.touched_count(), used.heap_bytes())
+        };
+        let (small, small_touched, small_bytes) = route_on(16, 0);
+        let (large, large_touched, large_bytes) = route_on(512, 250);
+        assert!(small.delivered() && small.detours() > Some(0), "{small:?}");
+        assert_eq!(small, large, "the relative route must be the same");
+        assert_eq!(small_touched, large_touched);
+        assert_eq!(small_bytes, large_bytes);
+        assert!(
+            small_bytes > 0 && small_bytes <= 2048,
+            "{small_bytes} bytes"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The engines own every buffer their hot loops touch (double-buffered states, the
 //! CSR mailbox arena, the flat neighbor cache, stack-allocated neighbor views and a
 //! recycled outbox for the round loop; inline coordinates, the direction-indexed
-//! neighbor-slot scratch, the recycled path and the flat used-direction arena for
+//! neighbor-slot scratch, the recycled path and the used-direction store for
 //! the probe loop), so **steady-state rounds and probe hops perform zero heap
 //! allocations** — in the serial engines *and* in the warm pooled parallel ones:
 //! the persistent worker pool hands each generation's job to its parked workers as
@@ -218,7 +218,7 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
     // --- Routing data plane: warm ProbeEngine, LGFI and DOR routers. --------------
     // A faulty 32x32 mesh with stabilised blocks and boundaries; the first pass over
     // the probe batch warms the engine's recycled buffers (path, used-direction
-    // arena, neighbor slots), after which routing the same batch again — thousands
+    // store, neighbor slots), after which routing the same batch again — thousands
     // of hops including backtracks and boundary-informed detours — must not touch
     // the heap at all: zero steady-state allocations per hop.
     let mesh = Mesh::cubic(32, 2);

@@ -88,7 +88,7 @@ fn seed_outcomes(world: &StaticWorld, router: &dyn Router) -> Vec<ProbeOutcome> 
 
 #[test]
 fn recycled_probe_engine_matches_one_shot_engines() {
-    // Buffer recycling (path, used-direction arena, neighbor slots) must be
+    // Buffer recycling (path, used-direction store, neighbor slots) must be
     // invisible: a single warm engine routing the whole batch produces the same
     // outcomes as a fresh engine per probe.
     for (dims, faults) in [(&[16i32, 16][..], 14usize), (&[8, 8, 8][..], 20)] {
