@@ -184,27 +184,6 @@ impl BlockSet {
     pub fn total_block_nodes(&self) -> usize {
         self.blocks.iter().map(|b| b.size()).sum()
     }
-
-    /// A structural diff against a previous block set: `(appeared, disappeared)`
-    /// regions.  Blocks are matched by their extents; a block that changed extent
-    /// appears in both lists (its old extent disappeared, its new extent appeared),
-    /// which is exactly the granularity at which boundary information must be deleted
-    /// and re-distributed.
-    pub fn diff(&self, previous: &BlockSet) -> (Vec<Region>, Vec<Region>) {
-        let appeared = self
-            .blocks
-            .iter()
-            .filter(|b| !previous.blocks.iter().any(|p| p.region == b.region))
-            .map(|b| b.region.clone())
-            .collect();
-        let disappeared = previous
-            .blocks
-            .iter()
-            .filter(|p| !self.blocks.iter().any(|b| b.region == p.region))
-            .map(|p| p.region.clone())
-            .collect();
-        (appeared, disappeared)
-    }
 }
 
 #[cfg(test)]
@@ -293,23 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_reports_appearing_and_disappearing_extents() {
-        let mesh = Mesh::cubic(12, 2);
-        let mut eng = LabelingEngine::new(mesh.clone());
-        eng.apply_faults(&[coord![2, 3], coord![3, 2]]);
-        let before = BlockSet::extract(&mesh, eng.statuses());
-        eng.apply_faults(&[coord![8, 8], coord![9, 9], coord![8, 9]]);
-        let after = BlockSet::extract(&mesh, eng.statuses());
-        let (appeared, disappeared) = after.diff(&before);
-        assert_eq!(appeared.len(), 1);
-        assert!(disappeared.is_empty());
-        assert_eq!(appeared[0], Region::new(vec![8, 8], vec![9, 9]));
-        let (appeared2, disappeared2) = before.diff(&after);
-        assert_eq!(appeared2.len(), 0);
-        assert_eq!(disappeared2.len(), 1);
-    }
-
-    #[test]
     fn recovery_shrinks_the_block_extent() {
         let mesh = Mesh::cubic(10, 3);
         let mut eng = LabelingEngine::new(mesh.clone());
@@ -319,7 +281,10 @@ mod tests {
             coord![5, 5, 3],
             coord![3, 6, 3],
         ]);
-        let before = BlockSet::extract(&mesh, eng.statuses());
+        assert_eq!(
+            BlockSet::extract(&mesh, eng.statuses()).blocks()[0].region,
+            Region::new(vec![3, 5, 3], vec![5, 6, 4])
+        );
         eng.recover_coord(&coord![5, 5, 3]);
         eng.run_to_fixpoint(200).unwrap();
         let after = BlockSet::extract(&mesh, eng.statuses());
@@ -329,9 +294,6 @@ mod tests {
             Region::new(vec![3, 5, 3], vec![4, 6, 4])
         );
         assert!(after.blocks()[0].is_rectangular());
-        let (appeared, disappeared) = after.diff(&before);
-        assert_eq!(appeared.len(), 1);
-        assert_eq!(disappeared.len(), 1);
     }
 
     #[test]

@@ -44,7 +44,11 @@ use crate::block::{BlockId, BlockSet};
 /// this node is on the boundary that guards its surface in direction `guard`".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundaryEntry {
-    /// The id of the guarded block within the owning [`BlockSet`].
+    /// The id of the guarded block within the [`BlockSet`] the entry was built
+    /// from.  An id means something only in that set: every
+    /// [`BlockSet::extract`] renumbers its blocks, so an entry kept across a later
+    /// extraction (as the dynamic network's timed store keeps them) is keyed by
+    /// its extent, [`BoundaryEntry::block`], not by this id.
     pub block_id: BlockId,
     /// The extent of the guarded block (the block information itself).
     pub block: Region,
@@ -101,41 +105,45 @@ impl BoundaryMap {
 
     /// Constructs the boundaries of every block in `blocks`.
     pub fn construct(mesh: &Mesh, blocks: &BlockSet) -> Self {
+        let ids: Vec<BlockId> = (0..blocks.len()).collect();
         let mut map = BoundaryMap::empty(mesh);
-        // Pre-compute, for every node, which block's expanded frame it belongs to
-        // (used by the merge rule).  A node adjacent to a block is in that block's
-        // extent expanded by one but not inside the extent.
-        let adjacency: Vec<Option<BlockId>> = (0..mesh.node_count())
-            .map(|id| {
-                let c = mesh.coord_of(id);
-                blocks
-                    .blocks()
-                    .iter()
-                    .find(|b| matches!(b.region.frame_level(&c), FrameLevel::Frame(_)))
-                    .map(|b| b.id)
-            })
-            .collect();
-        let in_block: Vec<bool> = (0..mesh.node_count())
-            .map(|id| blocks.block_of(id).is_some())
-            .collect();
-
-        for block in blocks.blocks() {
-            for guard in Direction::all(mesh.ndim()) {
-                map.propagate_boundary(mesh, blocks, &adjacency, &in_block, block.id, guard);
-            }
+        for (node, entry) in Self::construct_for(mesh, blocks, &ids) {
+            map.entries[node].push(entry);
         }
         map
     }
 
-    /// Propagates the boundary of `block_id` for surface direction `guard`.
-    fn propagate_boundary(
-        &mut self,
+    /// Constructs the boundaries of just the blocks `ids` of `blocks` (ascending),
+    /// as `(node, entry)` pairs sorted by node.  At one node the entries keep the
+    /// order [`BoundaryMap::construct`] stores them in: by block id, then by guard
+    /// direction.  The cost follows the constructed boundaries and the frames of
+    /// the blocks, not the size of the mesh, so a rebuild pays only for the blocks
+    /// that are new or changed.
+    pub fn construct_for(
         mesh: &Mesh,
         blocks: &BlockSet,
-        adjacency: &[Option<BlockId>],
-        in_block: &[bool],
+        ids: &[BlockId],
+    ) -> Vec<(NodeId, BoundaryEntry)> {
+        let adjacency = frame_stamps(mesh, blocks);
+        let mut out = Vec::new();
+        for &block_id in ids {
+            for guard in Direction::all(mesh.ndim()) {
+                Self::propagate_boundary(mesh, blocks, &adjacency, block_id, guard, &mut out);
+            }
+        }
+        // Stable: at one node the emission order (block, then guard) survives.
+        out.sort_by_key(|&(node, _)| node);
+        out
+    }
+
+    /// Propagates the boundary of `block_id` for surface direction `guard`.
+    fn propagate_boundary(
+        mesh: &Mesh,
+        blocks: &BlockSet,
+        adjacency: &[(NodeId, BlockId)],
         block_id: BlockId,
         guard: Direction,
+        out: &mut Vec<(NodeId, BoundaryEntry)>,
     ) {
         let region = blocks.blocks()[block_id].region.clone();
         let away = guard.opposite();
@@ -178,7 +186,7 @@ impl BoundaryMap {
             let uc = mesh.coord_of(u);
             let mut targets: Vec<NodeId> = Vec::new();
 
-            let adjacent_other = adjacency[u].filter(|&b| b != block_id);
+            let adjacent_other = adjacent_block(adjacency, u).filter(|&b| b != block_id);
             match adjacent_other {
                 None => {
                     // Plain wall node: continue straight away from the block.
@@ -193,7 +201,9 @@ impl BoundaryMap {
                         let Some(nid) = mesh.neighbor_id(u, dir) else {
                             continue;
                         };
-                        if adjacency[nid] == Some(other) && !in_block[nid] {
+                        if adjacent_block(adjacency, nid) == Some(other)
+                            && blocks.block_of(nid).is_none()
+                        {
                             targets.push(nid);
                         }
                     }
@@ -216,7 +226,7 @@ impl BoundaryMap {
             }
 
             for v in targets {
-                if in_block[v] || arrival.contains_key(&v) {
+                if blocks.block_of(v).is_some() || arrival.contains_key(&v) {
                     continue;
                 }
                 arrival.insert(v, t + 1);
@@ -225,27 +235,21 @@ impl BoundaryMap {
         }
 
         for (node, offset) in arrival {
-            self.entries[node].push(BoundaryEntry {
-                block_id,
-                block: region.clone(),
-                guard,
-                arrival_offset: offset,
-            });
+            out.push((
+                node,
+                BoundaryEntry {
+                    block_id,
+                    block: region.clone(),
+                    guard,
+                    arrival_offset: offset,
+                },
+            ));
         }
     }
 
     /// The boundary entries stored at a node.
     pub fn entries(&self, id: NodeId) -> &[BoundaryEntry] {
         &self.entries[id]
-    }
-
-    /// The boundary entries stored at a node that have already arrived after `rounds`
-    /// rounds of boundary construction.
-    pub fn entries_at_round(&self, id: NodeId, rounds: u64) -> Vec<&BoundaryEntry> {
-        self.entries[id]
-            .iter()
-            .filter(|e| e.arrival_offset <= rounds)
-            .collect()
     }
 
     /// Number of nodes storing at least one boundary entry.
@@ -278,6 +282,31 @@ impl BoundaryMap {
             })
             .collect()
     }
+}
+
+/// The merge rule's adjacency: every block's expanded frame stamped with the
+/// block's id, keeping the lowest id where frames overlap, sorted by node.
+fn frame_stamps(mesh: &Mesh, blocks: &BlockSet) -> Vec<(NodeId, BlockId)> {
+    let mut stamps = Vec::new();
+    for block in blocks.blocks() {
+        for c in block.region.expand(1).iter_coords() {
+            if mesh.contains(&c) && matches!(block.region.frame_level(&c), FrameLevel::Frame(_)) {
+                stamps.push((mesh.id_of(&c), block.id));
+            }
+        }
+    }
+    stamps.sort_unstable();
+    stamps.dedup_by_key(|&mut (node, _)| node);
+    stamps
+}
+
+/// The block on whose expanded frame `node` lies (the lowest id if several), looked
+/// up in the sorted [`frame_stamps`].
+fn adjacent_block(adjacency: &[(NodeId, BlockId)], node: NodeId) -> Option<BlockId> {
+    adjacency
+        .binary_search_by_key(&node, |&(n, _)| n)
+        .ok()
+        .map(|i| adjacency[i].1)
 }
 
 #[cfg(test)]
@@ -505,6 +534,73 @@ mod tests {
     }
 
     #[test]
+    fn frame_stamps_give_every_node_the_lowest_adjacent_block() {
+        // Blocks two apart share frame nodes; the merge rule must see the lowest
+        // block id there, as a scan over the blocks in id order does.
+        let mesh = Mesh::cubic(16, 2);
+        let (blocks, _) = build(
+            &mesh,
+            &[
+                coord![4, 4],
+                coord![5, 5],
+                coord![4, 5],
+                coord![5, 4],
+                coord![7, 4],
+                coord![8, 5],
+                coord![7, 5],
+                coord![8, 4],
+                coord![5, 7],
+                coord![6, 8],
+                coord![5, 8],
+                coord![6, 7],
+            ],
+        );
+        assert_eq!(blocks.len(), 3);
+        let stamps = frame_stamps(&mesh, &blocks);
+        let mut shared = 0;
+        for id in 0..mesh.node_count() {
+            let c = mesh.coord_of(id);
+            let on_frame = |b: &&crate::block::FaultyBlock| {
+                matches!(b.region.frame_level(&c), FrameLevel::Frame(_))
+            };
+            let expected = blocks.blocks().iter().find(on_frame).map(|b| b.id);
+            assert_eq!(adjacent_block(&stamps, id), expected, "node {c:?}");
+            shared += usize::from(blocks.blocks().iter().filter(on_frame).count() > 1);
+        }
+        assert!(shared > 0, "the layout must make frames overlap");
+    }
+
+    #[test]
+    fn construct_for_a_subset_matches_the_full_construction() {
+        let mesh = Mesh::cubic(14, 2);
+        let (blocks, full) = build(
+            &mesh,
+            &[
+                coord![5, 9],
+                coord![6, 10],
+                coord![5, 10],
+                coord![6, 9],
+                coord![4, 4],
+                coord![5, 5],
+                coord![4, 5],
+                coord![5, 4],
+            ],
+        );
+        for ids in [vec![0], vec![1], vec![0, 1]] {
+            let built = BoundaryMap::construct_for(&mesh, &blocks, &ids);
+            let expected: Vec<(NodeId, BoundaryEntry)> = (0..mesh.node_count())
+                .flat_map(|n| {
+                    full.entries(n)
+                        .iter()
+                        .filter(|e| ids.contains(&e.block_id))
+                        .map(move |e| (n, e.clone()))
+                })
+                .collect();
+            assert_eq!(built, expected, "ids {ids:?}");
+        }
+    }
+
+    #[test]
     fn fault_free_mesh_has_empty_map() {
         let mesh = Mesh::cubic(8, 3);
         let blocks = BlockSet::extract(&mesh, &vec![crate::status::NodeStatus::Enabled; 512]);
@@ -513,6 +609,5 @@ mod tests {
         assert_eq!(map.total_entries(), 0);
         assert_eq!(map.construction_rounds(), 0);
         assert!(map.entries(0).is_empty());
-        assert!(map.entries_at_round(0, 100).is_empty());
     }
 }

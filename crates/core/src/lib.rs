@@ -71,7 +71,7 @@ pub use identification::{IdentificationOutcome, IdentificationProcess};
 pub use infostore::{InfoStore, MemoryFootprint};
 pub use labeling::{LabelingEngine, LabelingProtocol};
 pub use linkstate::LinkState;
-pub use network::{LgfiNetwork, NetworkConfig, ProbeReport};
+pub use network::{InfoCounters, LgfiNetwork, NetworkConfig, ProbeReport};
 pub use route_service::{EpochSnapshot, RouteReader, RouteService, RouteServiceStats, RoutedQuery};
 pub use routing::{
     BoundarySource, CsrBoundary, DirectionClass, LgfiRouter, Probe, ProbeEngine, ProbeOutcome,

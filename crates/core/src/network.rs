@@ -22,11 +22,12 @@
 //! behaviour against the bounds of Theorems 3–5.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use lgfi_sim::{FaultEvent, FaultEventKind, FaultPlan, FaultPlanCursor, StepConfig};
-use lgfi_topology::{Mesh, NodeId, Region};
+use lgfi_topology::{Direction, Mesh, NodeId, Region};
 
-use crate::block::{BlockSet, FaultyBlock};
+use crate::block::{BlockId, BlockSet, FaultyBlock};
 use crate::boundary::{BoundaryEntry, BoundaryMap};
 use crate::bounds::{DetourBound, IntervalParams};
 use crate::identification::IdentificationProcess;
@@ -97,21 +98,167 @@ impl ConvergenceRecord {
     }
 }
 
-/// A boundary entry together with its visibility window in absolute rounds.
-#[derive(Debug, Clone)]
-struct TimedEntry {
-    entry: BoundaryEntry,
-    visible_from: u64,
-    visible_until: Option<u64>,
+/// Deterministic counters of the information plane.  They count work on the
+/// code paths that do it and read no clock, so they are part of a run's
+/// fingerprint: the same plan gives the same counters for every thread count and
+/// scheduling knob.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InfoCounters {
+    /// Block boundaries constructed: one per new or changed block extent.
+    pub boundaries_constructed: u64,
+    /// Boundary entries scheduled into the timed store.
+    pub entries_scheduled: u64,
+    /// Entries retired from the timed store once their deletion wave has passed.
+    pub entries_retired: u64,
+    /// Refreshes of the visible arena that re-filtered at least one node.
+    pub arena_refreshes: u64,
+    /// Nodes re-filtered across those refreshes.
+    pub nodes_refiltered: u64,
 }
 
-impl TimedEntry {
+/// One entry of a [`Wave`]: a node on one of the block's boundaries.
+#[derive(Debug, Clone, Copy)]
+struct WaveEntry {
+    node: NodeId,
+    guard: Direction,
+    arrival_offset: u64,
+}
+
+/// The timed store's unit: the boundary information one rebuild distributed for
+/// one new or changed block extent, with its visibility windows in absolute
+/// rounds.  The store is keyed by extent, not by block id — every
+/// [`BlockSet::extract`] renumbers ids, so an id goes stale at the next rebuild.
+#[derive(Debug)]
+struct Wave {
+    /// Distribution order; scheduled transitions refer to their wave by it.
+    serial: u64,
+    /// The block's id in the set the wave was built from, carried unchanged into
+    /// the materialised entries.
+    block_id: BlockId,
+    /// The block extent (the information itself, and the store's key).
+    block: Region,
+    /// An entry becomes visible `start + arrival_offset`.
+    start: u64,
+    /// The round the extent disappeared and the deletion wave started: an entry
+    /// stops being visible `deleted_at + arrival_offset + 1`.
+    deleted_at: Option<u64>,
+    /// The largest arrival offset of the entries.
+    max_offset: u64,
+    /// Sorted by node; at one node in guard order (the order routing sees them).
+    entries: Vec<WaveEntry>,
+}
+
+impl Wave {
+    /// The round an entry with this arrival offset stops being visible, once the
+    /// extent has disappeared.
+    fn visible_until(&self, arrival_offset: u64) -> Option<u64> {
+        self.deleted_at.map(|d| d + arrival_offset + 1)
+    }
+
     /// True if the entry is visible at the given absolute round — the single
     /// definition of the visibility window, shared by the observable
-    /// [`LgfiNetwork::visible_info`] view and the routing arena so the two can
-    /// never diverge.
-    fn visible_at(&self, round: u64) -> bool {
-        self.visible_from <= round && self.visible_until.map(|u| round < u).unwrap_or(true)
+    /// [`LgfiNetwork::visible_info`] view, the routing arena and its debug-build
+    /// oracle so they can never diverge.
+    fn visible_at(&self, e: &WaveEntry, round: u64) -> bool {
+        self.start + e.arrival_offset <= round
+            && self
+                .visible_until(e.arrival_offset)
+                .map_or(true, |u| round < u)
+    }
+
+    /// The wave's entries at `node`.
+    fn at(&self, node: NodeId) -> &[WaveEntry] {
+        let lo = self.entries.partition_point(|e| e.node < node);
+        let hi = lo + self.entries[lo..].partition_point(|e| e.node == node);
+        &self.entries[lo..hi]
+    }
+
+    /// The boundary entry routing consumes.
+    fn materialize(&self, e: &WaveEntry) -> BoundaryEntry {
+        BoundaryEntry {
+            block_id: self.block_id,
+            // audit:allow(alloc): a Region stores its bounds inline for meshes of up to 8 dimensions
+            block: self.block.clone(),
+            guard: e.guard,
+            arrival_offset: e.arrival_offset,
+        }
+    }
+
+    /// The round from which none of the entries can be visible again and no
+    /// transition of the wave is pending: the wave can leave the store.
+    fn retired_at(&self) -> Option<u64> {
+        self.deleted_at
+            .map(|d| self.start.max(d + 1) + self.max_offset)
+    }
+}
+
+/// A scheduled visibility transition: an entry of wave `wave` at `node` opens or
+/// closes its window at the round it is keyed under.
+#[derive(Debug, Clone, Copy)]
+struct Transition {
+    node: NodeId,
+    wave: u64,
+    arrival_offset: u64,
+}
+
+/// The CSR arena of the boundary entries visible at each node: node `i`'s entries
+/// are `data[off[i]..off[i + 1]]`.  The live network and its published epoch
+/// snapshots share one arena behind an `Arc`; a refresh builds the next arena
+/// into the spare of a double buffer.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct VisibleArena {
+    pub(crate) data: Vec<BoundaryEntry>,
+    pub(crate) off: Vec<usize>,
+}
+
+impl VisibleArena {
+    /// An arena with no visible entry at any of `nodes` nodes.
+    fn empty(nodes: usize) -> Self {
+        VisibleArena {
+            data: Vec::new(),
+            off: vec![0; nodes + 1],
+        }
+    }
+
+    /// Approximate heap footprint in bytes (capacities × element sizes).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<BoundaryEntry>()
+            + self.off.capacity() * std::mem::size_of::<usize>()
+    }
+
+    /// Rebuilds `self` from `old`: the nodes in `dirty` (sorted, distinct) are
+    /// re-filtered from the timed store at `round`, and every run of clean nodes
+    /// between them is carried over from `old` in bulk.
+    fn refilter(&mut self, old: &VisibleArena, dirty: &[NodeId], waves: &[Wave], round: u64) {
+        self.data.clear();
+        // Both halves grow to the larger high-water mark, so a warm refresh
+        // never reallocates whichever half it lands on.  Exact: an amortized
+        // reserve would let the two halves outgrow each other in turn.
+        self.data.reserve_exact(old.data.capacity());
+        self.off.clear();
+        self.off.push(0);
+        let mut clean_from = 0;
+        for &node in dirty {
+            self.carry_clean_run(old, clean_from, node);
+            for wave in waves {
+                for e in wave.at(node) {
+                    if wave.visible_at(e, round) {
+                        self.data.push(wave.materialize(e));
+                    }
+                }
+            }
+            self.off.push(self.data.len());
+            clean_from = node + 1;
+        }
+        self.carry_clean_run(old, clean_from, old.off.len() - 1);
+    }
+
+    /// Appends `old`'s nodes `from..to` unchanged.
+    fn carry_clean_run(&mut self, old: &VisibleArena, from: NodeId, to: NodeId) {
+        let (lo, base) = (old.off[from], self.data.len());
+        self.data.extend_from_slice(&old.data[lo..old.off[to]]);
+        self.off
+            .extend(old.off[from + 1..=to].iter().map(|&o| o - lo + base));
     }
 }
 
@@ -167,29 +314,41 @@ pub struct LgfiNetwork {
     rounds_since_disturbance: u64,
     /// The step at which the current disturbance started.
     disturbance_step: u64,
-    /// Stabilised blocks (as of the last rebuild).
-    blocks: BlockSet,
-    /// Per-node timed information entries.
-    info: Vec<Vec<TimedEntry>>,
-    /// Regions whose information is currently distributed (to avoid re-propagating
-    /// unchanged blocks, the paper's reactive rule).
-    distributed: Vec<Region>,
+    /// Stabilised blocks (as of the last rebuild), shared with the published
+    /// epoch snapshots.
+    blocks: Arc<BlockSet>,
+    /// The timed store: one wave per distributed extent, in distribution order
+    /// (so also in `serial` order).  An extent with an undeleted wave is
+    /// distributed and is not re-propagated while it stays unchanged (the paper's
+    /// reactive rule).
+    waves: Vec<Wave>,
+    /// The serial the next wave gets.
+    next_wave: u64,
+    /// Round-keyed visibility transitions: every window opening or closing of a
+    /// stored entry, keyed by the round it happens at.
+    schedule: BTreeMap<u64, Vec<Transition>>,
+    /// The round of the last rebuild.  An entry whose window closed by then has
+    /// left the transition set: a window that would open later without ever
+    /// having been visible no longer counts as a change.
+    pruned_through: u64,
+    /// Nodes named by due transitions and not yet re-filtered (sorted, distinct).
+    dirty_nodes: Vec<NodeId>,
+    counters: InfoCounters,
     convergence: Vec<ConvergenceRecord>,
     probes: Vec<ProbeState>,
     reports: Vec<ProbeReport>,
-    /// CSR arena of the boundary entries *currently visible* at each node: node
-    /// `i`'s visible entries are `vis_data[vis_off[i]..vis_off[i + 1]]`.  Routing
-    /// decisions borrow these slices directly instead of filtering and cloning the
-    /// timed entry lists per hop; the arena is rebuilt only when the information
-    /// store changes or a visibility window opens/closes (`vis_next_transition`),
-    /// not per hop or per round.
-    vis_data: Vec<BoundaryEntry>,
-    vis_off: Vec<usize>,
-    /// False when the timed entries changed since the arena was last built.
+    /// The boundary entries *currently visible* at each node.  Routing decisions
+    /// borrow its slices directly instead of filtering the timed store per hop;
+    /// it is refreshed only at the nodes the schedule names, when their windows
+    /// open or close, not per hop or per round.  Shared with the latest published
+    /// epoch snapshot.
+    vis: Arc<VisibleArena>,
+    /// The other half of the arena's double buffer: the next refresh builds into
+    /// it once no snapshot shares it any more.
+    vis_spare: Arc<VisibleArena>,
+    /// False when a rebuild changed the timed store, or a window opened or
+    /// closed, since the last refresh.
     vis_valid: bool,
-    /// The earliest future round at which some entry becomes visible or expires;
-    /// the arena is refreshed lazily when the round clock passes it.
-    vis_next_transition: Option<u64>,
     /// Generation counter of the visible arena, bumped on every actual rebuild.
     /// This is the single dirty signal the epoch publisher keys off: a step whose
     /// refresh leaves the generation unchanged (and applied no fault events)
@@ -225,9 +384,16 @@ impl LgfiNetwork {
         let labeling = LabelingEngine::new(mesh.clone())
             .with_threads(config.threads)
             .with_frontier(config.frontier);
-        let blocks = BlockSet::extract(&mesh, labeling.statuses());
+        let blocks = Arc::new(BlockSet::extract(&mesh, labeling.statuses()));
         LgfiNetwork {
-            info: vec![Vec::new(); mesh.node_count()],
+            waves: Vec::new(),
+            next_wave: 0,
+            schedule: BTreeMap::new(),
+            pruned_through: 0,
+            dirty_nodes: Vec::new(),
+            counters: InfoCounters::default(),
+            vis: Arc::new(VisibleArena::empty(mesh.node_count())),
+            vis_spare: Arc::default(),
             labeling,
             blocks,
             mesh,
@@ -239,14 +405,10 @@ impl LgfiNetwork {
             dirty: false,
             rounds_since_disturbance: 0,
             disturbance_step: 0,
-            distributed: Vec::new(),
             convergence: Vec::new(),
             probes: Vec::new(),
             reports: Vec::new(),
-            vis_data: Vec::new(),
-            vis_off: Vec::new(),
             vis_valid: false,
-            vis_next_transition: None,
             vis_gen: 0,
             events_pending: false,
             info_changes: 0,
@@ -325,10 +487,14 @@ impl LgfiNetwork {
 
     /// The boundary/block information visible at a node *right now*.
     pub fn visible_info(&self, id: NodeId) -> Vec<BoundaryEntry> {
-        self.info[id]
+        self.waves
             .iter()
-            .filter(|t| t.visible_at(self.round))
-            .map(|t| t.entry.clone())
+            .flat_map(|w| {
+                w.at(id)
+                    .iter()
+                    .filter(|e| w.visible_at(e, self.round))
+                    .map(|e| w.materialize(e))
+            })
             .collect()
     }
 
@@ -337,6 +503,11 @@ impl LgfiNetwork {
         (0..self.mesh.node_count())
             .filter(|&id| !self.visible_info(id).is_empty())
             .count()
+    }
+
+    /// The information plane's deterministic work counters so far.
+    pub fn info_counters(&self) -> InfoCounters {
+        self.counters
     }
 
     /// Launches a probe from `source` to `dest` driven by `router`.  The probe makes
@@ -383,8 +554,8 @@ impl LgfiNetwork {
             let mesh = &self.mesh;
             let statuses = self.labeling.statuses();
             let blocks = self.blocks.blocks();
-            let vis_data = &self.vis_data;
-            let vis_off = &self.vis_off;
+            let vis_data = &self.vis.data;
+            let vis_off = &self.vis.off;
             let max_probe_steps = self.config.max_probe_steps;
             let probes = &mut self.probes;
             let workers = self.probe_threads.min(probes.len());
@@ -504,6 +675,9 @@ impl LgfiNetwork {
                 }
             }
         }
+        // The schedule follows the round clock whether or not anything consumes
+        // the arena this step, so expired waves leave the store on time.
+        self.collect_due();
     }
 
     /// Executes one Figure-7 step whose routing phase drives the concurrent-traffic
@@ -535,50 +709,134 @@ impl LgfiNetwork {
         traffic.run_cycle(&crate::traffic_engine::CycleEnv {
             statuses: self.labeling.statuses(),
             blocks: self.blocks.blocks(),
-            vis_data: &self.vis_data,
-            vis_off: &self.vis_off,
+            vis_data: &self.vis.data,
+            vis_off: &self.vis.off,
         });
         self.step += 1;
     }
 
-    /// Rebuilds the CSR arena of currently-visible boundary entries if the
-    /// information store changed or a visibility window opened/closed since the last
-    /// build.  Steady state (no disturbance, no pending arrival) costs one branch.
+    /// Brings the visible arena up to the current round: the nodes named by the
+    /// transitions that fell due (collected at the end of every step) are
+    /// re-filtered from the timed store, the clean runs between them are carried
+    /// over, and the arena generation is bumped if the store changed or a window
+    /// opened or closed.  Steady state (no disturbance, no pending transition)
+    /// costs one branch.
     fn refresh_visible_arena(&mut self) {
-        let due = !self.vis_valid
-            || self
-                .vis_next_transition
-                .map(|t| self.round >= t)
-                .unwrap_or(false);
-        if !due {
+        if self.vis_valid {
             return;
         }
-        self.vis_data.clear();
-        self.vis_off.clear();
-        self.vis_off.push(0);
-        let mut next: Option<u64> = None;
-        let bump = |round: u64, next: &mut Option<u64>| {
-            *next = Some(next.map_or(round, |n: u64| n.min(round)));
-        };
-        for entries in &self.info {
-            for t in entries {
-                if t.visible_at(self.round) {
-                    self.vis_data.push(t.entry.clone());
-                }
-                if t.visible_from > self.round {
-                    bump(t.visible_from, &mut next);
-                }
-                if let Some(u) = t.visible_until {
-                    if u > self.round {
-                        bump(u, &mut next);
-                    }
-                }
+        if !self.dirty_nodes.is_empty() {
+            self.counters.arena_refreshes += 1;
+            self.counters.nodes_refiltered += self.dirty_nodes.len() as u64;
+            if let Some(publisher) = &mut self.publisher {
+                publisher.release_retired();
             }
-            self.vis_off.push(self.vis_data.len());
+            if Arc::get_mut(&mut self.vis_spare).is_none() {
+                // A reader still holds the snapshot sharing the spare: leave it
+                // to them and start a fresh buffer.
+                // audit:allow(alloc): cold path, taken only while a reader pins an old epoch
+                self.vis_spare = Arc::default();
+            }
+            Arc::make_mut(&mut self.vis_spare).refilter(
+                &self.vis,
+                &self.dirty_nodes,
+                &self.waves,
+                self.round,
+            );
+            std::mem::swap(&mut self.vis, &mut self.vis_spare);
+            self.dirty_nodes.clear();
         }
         self.vis_valid = true;
-        self.vis_next_transition = next;
         self.vis_gen += 1;
+        #[cfg(debug_assertions)]
+        self.check_visible_arena();
+    }
+
+    /// Moves the transitions due by the current round off the schedule: the
+    /// nodes of those still in the transition set join `dirty_nodes`.  Then retires
+    /// the waves that can never be visible again.  Runs at the end of every step
+    /// and before every rebuild; a round with nothing due costs one lookup.
+    fn collect_due(&mut self) {
+        let (mut popped, mut collected) = (false, false);
+        while let Some(due) = self.schedule.first_entry() {
+            if *due.key() > self.round {
+                break;
+            }
+            popped = true;
+            for t in due.remove() {
+                let Ok(at) = self.waves.binary_search_by_key(&t.wave, |w| w.serial) else {
+                    continue;
+                };
+                let pruned = self.waves[at]
+                    .visible_until(t.arrival_offset)
+                    .is_some_and(|u| u <= self.pruned_through);
+                if !pruned {
+                    self.dirty_nodes.push(t.node);
+                    collected = true;
+                }
+            }
+        }
+        if collected {
+            self.vis_valid = false;
+            self.dirty_nodes.sort_unstable();
+            self.dirty_nodes.dedup();
+        }
+        // A wave retires at the round of its last scheduled transition.
+        if !popped {
+            return;
+        }
+        let round = self.round;
+        let mut retired = 0u64;
+        self.waves.retain(|w| {
+            let live = w.retired_at().map_or(true, |r| r > round);
+            if !live {
+                retired += w.entries.len() as u64;
+            }
+            live
+        });
+        self.counters.entries_retired += retired;
+    }
+
+    /// Debug-build oracle of the incremental refresh: walks the timed store and
+    /// the arena side by side.  Every visible entry must sit in its node's arena
+    /// slice at exactly its store position (after the visible entries of earlier
+    /// waves at that node), and the arena must hold nothing else.  The walk costs
+    /// the store's entries, not the mesh, and allocates nothing, so the
+    /// zero-allocation suites hold in debug builds too.
+    #[cfg(debug_assertions)]
+    fn check_visible_arena(&self) {
+        let (arena, round) = (&self.vis, self.round);
+        assert_eq!(arena.off.len(), self.mesh.node_count() + 1);
+        let visible_at =
+            |w: &Wave, node: NodeId| w.at(node).iter().filter(|e| w.visible_at(e, round)).count();
+        let mut total = 0;
+        for (i, wave) in self.waves.iter().enumerate() {
+            // (node, arena position of the wave's next visible entry there)
+            let mut slot = (usize::MAX, 0);
+            for e in wave.entries.iter().filter(|e| wave.visible_at(e, round)) {
+                if slot.0 != e.node {
+                    let earlier: usize =
+                        self.waves[..i].iter().map(|w| visible_at(w, e.node)).sum();
+                    slot = (e.node, arena.off[e.node] + earlier);
+                }
+                let held = arena.data[..arena.off[e.node + 1]].get(slot.1);
+                assert!(
+                    held.is_some_and(|g| g.block_id == wave.block_id
+                        && g.block == wave.block
+                        && g.guard == e.guard
+                        && g.arrival_offset == e.arrival_offset),
+                    "visible arena diverged from the timed store at node {}, round {round}",
+                    e.node
+                );
+                slot.1 += 1;
+                total += 1;
+            }
+        }
+        assert_eq!(
+            total,
+            arena.data.len(),
+            "visible arena holds stale entries at round {round}"
+        );
     }
 
     /// Publishes a new [`EpochSnapshot`](crate::route_service::EpochSnapshot) to the
@@ -589,25 +847,25 @@ impl LgfiNetwork {
     /// and the arena's dirty tracking are the same signal (`vis_gen`), so the
     /// service's epoch number always equals [`LgfiNetwork::info_changes`].
     fn sync_query_plane(&mut self) {
-        let Some(mut publisher) = self.publisher.take() else {
+        if self.publisher.is_none() {
             return;
-        };
+        }
         self.refresh_visible_arena();
-        if self.vis_gen != publisher.published_gen() || self.events_pending {
-            self.info_changes += 1;
-            publisher.publish(
-                &self.mesh,
-                self.step,
-                self.round,
-                self.labeling.statuses(),
-                self.blocks.blocks(),
-                &self.vis_data,
-                &self.vis_off,
-            );
-            publisher.set_published_gen(self.vis_gen);
+        if let Some(publisher) = &mut self.publisher {
+            if self.vis_gen != publisher.published_gen() || self.events_pending {
+                self.info_changes += 1;
+                publisher.publish(
+                    &self.mesh,
+                    self.step,
+                    self.round,
+                    self.labeling.statuses(),
+                    &self.blocks,
+                    &self.vis,
+                );
+                publisher.set_published_gen(self.vis_gen);
+            }
         }
         self.events_pending = false;
-        self.publisher = Some(publisher);
     }
 
     /// Attaches the epoch-snapshot route-query plane (see
@@ -626,9 +884,8 @@ impl LgfiNetwork {
             self.step,
             self.round,
             self.labeling.statuses(),
-            self.blocks.blocks(),
-            &self.vis_data,
-            &self.vis_off,
+            &self.blocks,
+            &self.vis,
         );
         publisher.set_published_gen(self.vis_gen);
         let handle = publisher.handle();
@@ -662,7 +919,7 @@ impl LgfiNetwork {
             &self.mesh,
             self.labeling.statuses(),
             self.blocks.blocks(),
-            CsrBoundary::new(&self.vis_data, &self.vis_off),
+            CsrBoundary::new(&self.vis.data, &self.vis.off),
             router,
             source,
             dest,
@@ -688,46 +945,52 @@ impl LgfiNetwork {
 
     /// Rebuilds blocks, identification outcomes and boundary maps after the labeling
     /// has stabilised, scheduling the visibility of every piece of information.
+    /// Only blocks whose extent is new or changed get a boundary; the work
+    /// follows their entries, not the mesh.
     fn rebuild_information(&mut self) {
         let new_blocks = BlockSet::extract(&self.mesh, self.labeling.statuses());
-        let new_regions = new_blocks.regions();
+        // Transitions due by now are collected before the prune horizon moves.
+        self.collect_due();
+        self.pruned_through = self.round;
 
-        // Information for regions that no longer exist is deleted; the deletion wave
-        // travels the same path as the original distribution, so the entry disappears
-        // `arrival_offset` rounds after the deletion starts (now).  Entries whose
-        // window already closed can never become visible again — dropping them here
-        // keeps the store (and the arena rebuild cost) proportional to the *live*
-        // information under long fail/repair churn instead of every entry ever
-        // distributed.
-        for entries in self.info.iter_mut() {
-            entries.retain(|t| t.visible_until.map_or(true, |u| u > self.round));
-            for t in entries.iter_mut() {
-                if t.visible_until.is_none() && !new_regions.contains(&t.entry.block) {
-                    t.visible_until = Some(self.round + t.entry.arrival_offset + 1);
-                }
+        // Information for extents that no longer exist is deleted; the deletion
+        // wave travels the same path as the original distribution, so an entry
+        // disappears `arrival_offset` rounds after the deletion starts (now).
+        for wave in &mut self.waves {
+            if wave.deleted_at.is_some()
+                || new_blocks.blocks().iter().any(|b| b.region == wave.block)
+            {
+                continue;
+            }
+            wave.deleted_at = Some(self.round);
+            for e in &wave.entries {
+                schedule(&mut self.schedule, self.round + 1, wave.serial, e);
             }
         }
-        self.distributed.retain(|r| new_regions.contains(r));
 
-        // Identification + boundary construction for regions that are new or changed.
-        let changed: Vec<Region> = new_regions
+        // Identification + boundary construction for extents that are new or
+        // changed (no undeleted wave carries them).
+        let changed: Vec<BlockId> = new_blocks
+            .blocks()
             .iter()
-            .filter(|r| !self.distributed.contains(r))
-            .cloned()
+            .filter(|b| {
+                !self
+                    .waves
+                    .iter()
+                    .any(|w| w.deleted_at.is_none() && w.block == b.region)
+            })
+            .map(|b| b.id)
             .collect();
         let mut b_rounds = 0u64;
         let mut c_rounds = 0u64;
         if !changed.is_empty() {
             let ident = IdentificationProcess::default();
-            let boundary = BoundaryMap::construct(&self.mesh, &new_blocks);
-            for region in &changed {
-                let block_id = new_blocks
-                    .blocks()
-                    .iter()
-                    .find(|b| &b.region == region)
-                    .map(|b| b.id)
-                    // audit:allow(panic): `changed` was computed as the set difference against exactly these blocks one statement earlier
-                    .expect("changed region must be in the new block set");
+            let built = BoundaryMap::construct_for(&self.mesh, &new_blocks, &changed);
+            #[cfg(debug_assertions)]
+            check_construct_for(&self.mesh, &new_blocks, &changed, &built);
+            self.counters.boundaries_constructed += changed.len() as u64;
+            for &block_id in &changed {
+                let region = &new_blocks.blocks()[block_id].region;
                 let outcome =
                     ident.run_from_default_corner(&self.mesh, region, self.labeling.statuses());
                 let b = outcome
@@ -738,20 +1001,31 @@ impl LgfiNetwork {
                 b_rounds = b_rounds.max(b);
                 // Schedule the boundary entries of this block: visible b + offset
                 // rounds after now.
-                for node in 0..self.mesh.node_count() {
-                    for entry in boundary.entries(node) {
-                        if entry.block_id != block_id {
-                            continue;
-                        }
-                        c_rounds = c_rounds.max(entry.arrival_offset);
-                        self.info[node].push(TimedEntry {
-                            entry: entry.clone(),
-                            visible_from: self.round + b + entry.arrival_offset,
-                            visible_until: None,
-                        });
-                    }
+                let entries: Vec<WaveEntry> = built
+                    .iter()
+                    .filter(|(_, e)| e.block_id == block_id)
+                    .map(|(node, e)| WaveEntry {
+                        node: *node,
+                        guard: e.guard,
+                        arrival_offset: e.arrival_offset,
+                    })
+                    .collect();
+                let wave = Wave {
+                    serial: self.next_wave,
+                    block_id,
+                    block: region.clone(),
+                    start: self.round + b,
+                    deleted_at: None,
+                    max_offset: entries.iter().map(|e| e.arrival_offset).max().unwrap_or(0),
+                    entries,
+                };
+                self.next_wave += 1;
+                c_rounds = c_rounds.max(wave.max_offset);
+                for e in &wave.entries {
+                    schedule(&mut self.schedule, wave.start, wave.serial, e);
                 }
-                self.distributed.push(region.clone());
+                self.counters.entries_scheduled += wave.entries.len() as u64;
+                self.waves.push(wave);
             }
         }
 
@@ -762,7 +1036,7 @@ impl LgfiNetwork {
             c_rounds,
             blocks_changed: changed.len(),
         });
-        self.blocks = new_blocks;
+        self.blocks = Arc::new(new_blocks);
         self.vis_valid = false;
     }
 
@@ -816,6 +1090,47 @@ impl LgfiNetwork {
             e_max,
         }
     }
+}
+
+/// Schedules the window transition of entry `e` of wave `wave` whose wave-wide
+/// round is `base` (the entry's own round is `base + arrival_offset`).
+fn schedule(schedule: &mut BTreeMap<u64, Vec<Transition>>, base: u64, wave: u64, e: &WaveEntry) {
+    schedule
+        .entry(base + e.arrival_offset)
+        .or_default()
+        .push(Transition {
+            node: e.node,
+            wave,
+            arrival_offset: e.arrival_offset,
+        });
+}
+
+/// Debug-build oracle of [`BoundaryMap::construct_for`]: its entries must be
+/// exactly the `ids` blocks' entries of a full [`BoundaryMap::construct`], node by
+/// node and in the same order.
+#[cfg(debug_assertions)]
+fn check_construct_for(
+    mesh: &Mesh,
+    blocks: &BlockSet,
+    ids: &[BlockId],
+    built: &[(NodeId, BoundaryEntry)],
+) {
+    let full = BoundaryMap::construct(mesh, blocks);
+    let mut built = built.iter();
+    for node in 0..mesh.node_count() {
+        for entry in full
+            .entries(node)
+            .iter()
+            .filter(|e| ids.contains(&e.block_id))
+        {
+            assert_eq!(
+                built.next(),
+                Some(&(node, entry.clone())),
+                "construct_for diverged from construct at node {node}"
+            );
+        }
+    }
+    assert!(built.next().is_none(), "construct_for built extra entries");
 }
 
 /// Advances one in-flight probe by a single step-model decision against the frozen

@@ -26,9 +26,12 @@
 //!   every query is a pure function of (snapshot, router, source, dest), so any
 //!   interleaving of any number of readers yields the same per-query outcomes.
 //!
-//! Publication is the sanctioned cold path: the publisher double-buffers — the
-//! retired snapshot's buffers are reclaimed on the next publish once the last
-//! reader has moved on — so steady-state fault churn does not grow memory.
+//! Publication is the sanctioned cold path and copies no boundary information:
+//! a snapshot shares the network's block list and visible arena behind `Arc`s,
+//! and only the node statuses are copied.  The publisher double-buffers — the
+//! retired snapshot is reclaimed once the last reader has moved on, returning its
+//! statuses buffer to the next publish and its arena to the network's next
+//! refresh — so steady-state fault churn does not grow memory.
 //!
 //! ```
 //! use lgfi_core::network::{LgfiNetwork, NetworkConfig};
@@ -55,17 +58,19 @@ use std::sync::Arc;
 use lgfi_sim::EpochCell;
 use lgfi_topology::{Mesh, NodeId};
 
-use crate::block::FaultyBlock;
-use crate::boundary::BoundaryEntry;
+use crate::block::{BlockSet, FaultyBlock};
+use crate::network::VisibleArena;
 use crate::routing::{CsrBoundary, ProbeEngine, ProbeOutcome, Router};
 use crate::status::NodeStatus;
 
 #[cfg(doc)]
 use crate::network::LgfiNetwork;
 
-/// An immutable, self-contained copy of everything a routing decision consults,
-/// frozen at one information epoch: node statuses, identified faulty blocks, the
+/// An immutable view of everything a routing decision consults, frozen at one
+/// information epoch: node statuses, identified faulty blocks, the
 /// visible-boundary CSR arena, and the mesh (dims + strides for neighbor fill).
+/// The blocks and the arena are shared with the live network that built them,
+/// not copied; the statuses are the snapshot's own.
 ///
 /// Snapshots are shared read-only behind `Arc`s; nothing in them can change after
 /// publication, which is the whole coherence story of the query plane.
@@ -76,54 +81,12 @@ pub struct EpochSnapshot {
     round: u64,
     mesh: Mesh,
     statuses: Vec<NodeStatus>,
-    blocks: Vec<FaultyBlock>,
-    /// Visible boundary entries, CSR: node `i`'s slice is
-    /// `vis_data[vis_off[i]..vis_off[i + 1]]` — same layout as the live arena.
-    vis_data: Vec<BoundaryEntry>,
-    vis_off: Vec<usize>,
+    blocks: Arc<BlockSet>,
+    /// Visible boundary entries, shared with the live network at this epoch.
+    arena: Arc<VisibleArena>,
 }
 
 impl EpochSnapshot {
-    /// An empty snapshot over `mesh` (no faults, no visible information), epoch 0.
-    fn empty(mesh: &Mesh) -> Self {
-        EpochSnapshot {
-            epoch: 0,
-            step: 0,
-            round: 0,
-            mesh: mesh.clone(),
-            statuses: Vec::new(),
-            blocks: Vec::new(),
-            vis_data: Vec::new(),
-            vis_off: Vec::new(),
-        }
-    }
-
-    /// Refills this snapshot's buffers from the live network state, keeping their
-    /// capacity (the double-buffer warm path of republication).
-    #[allow(clippy::too_many_arguments)]
-    fn fill(
-        &mut self,
-        epoch: u64,
-        step: u64,
-        round: u64,
-        statuses: &[NodeStatus],
-        blocks: &[FaultyBlock],
-        vis_data: &[BoundaryEntry],
-        vis_off: &[usize],
-    ) {
-        self.epoch = epoch;
-        self.step = step;
-        self.round = round;
-        self.statuses.clear();
-        self.statuses.extend_from_slice(statuses);
-        self.blocks.clear();
-        self.blocks.extend_from_slice(blocks);
-        self.vis_data.clear();
-        self.vis_data.extend_from_slice(vis_data);
-        self.vis_off.clear();
-        self.vis_off.extend_from_slice(vis_off);
-    }
-
     /// The epoch number this snapshot was published at (0 = the snapshot taken when
     /// the service was attached).
     pub fn epoch(&self) -> u64 {
@@ -152,28 +115,29 @@ impl EpochSnapshot {
 
     /// The identified faulty blocks at this epoch.
     pub fn blocks(&self) -> &[FaultyBlock] {
-        &self.blocks
+        self.blocks.blocks()
     }
 
     /// The visible-boundary arena as a borrowed CSR view.
     pub fn boundary(&self) -> CsrBoundary<'_> {
-        CsrBoundary::new(&self.vis_data, &self.vis_off)
+        CsrBoundary::new(&self.arena.data, &self.arena.off)
     }
 
     /// Total boundary entries visible across all nodes at this epoch.
     pub fn visible_entries(&self) -> usize {
-        self.vis_data.len()
+        self.arena.data.len()
     }
 
-    /// Approximate heap footprint of the snapshot's buffers in bytes (capacities ×
-    /// element sizes; per-entry spill beyond the inline coordinate storage of very
-    /// high-dimensional meshes is not counted).
+    /// Approximate heap footprint of the buffers the snapshot reads, in bytes
+    /// (capacities × element sizes for the statuses and the arena, the block
+    /// records by count; block member lists and per-entry spill beyond the inline
+    /// coordinate storage of very high-dimensional meshes are not counted).  The
+    /// block list and the arena are shared with the live network, so this is what
+    /// the snapshot keeps alive, not what it adds.
     pub fn heap_bytes(&self) -> u64 {
         let statuses = self.statuses.capacity() * std::mem::size_of::<NodeStatus>();
-        let blocks = self.blocks.capacity() * std::mem::size_of::<FaultyBlock>();
-        let data = self.vis_data.capacity() * std::mem::size_of::<BoundaryEntry>();
-        let off = self.vis_off.capacity() * std::mem::size_of::<usize>();
-        (statuses + blocks + data + off) as u64
+        let blocks = self.blocks.len() * std::mem::size_of::<FaultyBlock>();
+        (statuses + blocks + self.arena.heap_bytes()) as u64
     }
 
     /// [`EpochSnapshot::heap_bytes`] per mesh node — the memory-accounting figure of
@@ -189,7 +153,7 @@ struct Shared {
     cell: EpochCell<EpochSnapshot>,
     /// Publishes so far, including the initial attach snapshot.
     epochs_published: AtomicU64,
-    /// Publishes that reclaimed the retired snapshot's buffers (double-buffer hits).
+    /// Retired snapshots reclaimed for reuse (double-buffer hits).
     buffers_reused: AtomicU64,
     /// Heap footprint of the most recently published snapshot.
     snapshot_heap_bytes: AtomicU64,
@@ -203,8 +167,9 @@ pub struct RouteServiceStats {
     /// Snapshots published so far, including the initial attach snapshot (so on a
     /// static plan `epochs_published == info_changes + 1`).
     pub epochs_published: u64,
-    /// Publishes that recycled the retired snapshot's buffers instead of
-    /// allocating fresh ones.
+    /// Retired snapshots reclaimed once no reader held them: their statuses
+    /// buffer went to a later publish and their arena back to the network's
+    /// double buffer instead of being allocated afresh.
     pub buffers_reused: u64,
     /// Approximate heap bytes held by the current snapshot.
     pub snapshot_heap_bytes: u64,
@@ -334,8 +299,8 @@ impl RouteReader {
         let outcome = self.engine.route_view(
             &snap.mesh,
             &snap.statuses,
-            &snap.blocks,
-            CsrBoundary::new(&snap.vis_data, &snap.vis_off),
+            snap.blocks.blocks(),
+            CsrBoundary::new(&snap.arena.data, &snap.arena.off),
             router,
             source,
             dest,
@@ -349,38 +314,45 @@ impl RouteReader {
 }
 
 /// The publishing side of the query plane, owned by the [`LgfiNetwork`] it is
-/// attached to.  Double-buffered: the snapshot retired by a publish is kept as the
-/// spare and its buffers reclaimed on the next publish once every reader has
-/// moved past it.
+/// attached to.  Double-buffered: the snapshot retired by a publish is kept until
+/// every reader has moved past it, then reclaimed — its mesh and statuses buffer
+/// for the next publish, and its share of the network's spare arena released.
 #[derive(Debug)]
 pub(crate) struct RoutePublisher {
     shared: Arc<Shared>,
     /// The snapshot retired by the last publish; reclaimed via [`Arc::try_unwrap`]
     /// when no reader still holds it.
-    spare: Option<Arc<EpochSnapshot>>,
+    retired: Option<Arc<EpochSnapshot>>,
+    /// The mesh and statuses buffer of the last reclaimed snapshot.
+    spare: Option<(Mesh, Vec<NodeStatus>)>,
     /// The epoch number the next publish will carry (the cell assigns the same
     /// sequence; kept here so the snapshot can embed its own epoch).
     next_epoch: u64,
     /// The network's visible-arena generation (`vis_gen`) the last published
-    /// snapshot copied — the unified dirty flag of the publish seam.
+    /// snapshot shares — the unified dirty flag of the publish seam.
     published_gen: u64,
 }
 
 impl RoutePublisher {
     /// Builds the initial epoch-0 snapshot from the live state and the shared cell
     /// around it.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn attach(
         mesh: &Mesh,
         step: u64,
         round: u64,
         statuses: &[NodeStatus],
-        blocks: &[FaultyBlock],
-        vis_data: &[BoundaryEntry],
-        vis_off: &[usize],
+        blocks: &Arc<BlockSet>,
+        arena: &Arc<VisibleArena>,
     ) -> Self {
-        let mut snapshot = EpochSnapshot::empty(mesh);
-        snapshot.fill(0, step, round, statuses, blocks, vis_data, vis_off);
+        let snapshot = EpochSnapshot {
+            epoch: 0,
+            step,
+            round,
+            mesh: mesh.clone(),
+            statuses: statuses.to_vec(),
+            blocks: Arc::clone(blocks),
+            arena: Arc::clone(arena),
+        };
         let heap_bytes = snapshot.heap_bytes();
         let shared = Arc::new(Shared {
             cell: EpochCell::new(Arc::new(snapshot)),
@@ -390,13 +362,14 @@ impl RoutePublisher {
         });
         RoutePublisher {
             shared,
+            retired: None,
             spare: None,
             next_epoch: 1,
             published_gen: 0,
         }
     }
 
-    /// The arena generation the last published snapshot copied.
+    /// The arena generation the last published snapshot shares.
     pub(crate) fn published_gen(&self) -> u64 {
         self.published_gen
     }
@@ -413,38 +386,45 @@ impl RoutePublisher {
         }
     }
 
-    /// Publishes a new epoch from the live network state.  Cold path by contract:
-    /// runs once per information change, never per query, and reuses the spare
-    /// snapshot's buffers when the readers have released it.
-    #[allow(clippy::too_many_arguments)]
+    /// Reclaims the retired snapshot if no reader still holds it: its mesh and
+    /// statuses buffer are kept for the next publish, and its handles on the
+    /// block list and the arena are dropped, so the network's spare arena is
+    /// unshared again.  If a reader still holds it, it is left to them.
+    pub(crate) fn release_retired(&mut self) {
+        if let Some(Ok(snapshot)) = self.retired.take().map(Arc::try_unwrap) {
+            self.shared.buffers_reused.fetch_add(1, Ordering::Relaxed);
+            self.spare = Some((snapshot.mesh, snapshot.statuses));
+        }
+    }
+
+    /// Publishes a new epoch sharing the network's block list and visible arena.
+    /// Cold path by contract: runs once per information change, never per query,
+    /// and copies only the statuses, into the reclaimed buffer when there is one.
     pub(crate) fn publish(
         &mut self,
         mesh: &Mesh,
         step: u64,
         round: u64,
         statuses: &[NodeStatus],
-        blocks: &[FaultyBlock],
-        vis_data: &[BoundaryEntry],
-        vis_off: &[usize],
+        blocks: &Arc<BlockSet>,
+        arena: &Arc<VisibleArena>,
     ) {
-        let mut snapshot = match self.spare.take().map(Arc::try_unwrap) {
-            Some(Ok(retired)) => {
-                self.shared.buffers_reused.fetch_add(1, Ordering::Relaxed);
-                retired
-            }
-            // Some reader still holds the retired snapshot (or this is the first
-            // republish): leave it to them and build fresh buffers.
-            _ => EpochSnapshot::empty(mesh),
-        };
-        snapshot.fill(
-            self.next_epoch,
+        self.release_retired();
+        let (mesh, mut buffer) = self
+            .spare
+            .take()
+            .unwrap_or_else(|| (mesh.clone(), Vec::new()));
+        buffer.clear();
+        buffer.extend_from_slice(statuses);
+        let snapshot = EpochSnapshot {
+            epoch: self.next_epoch,
             step,
             round,
-            statuses,
-            blocks,
-            vis_data,
-            vis_off,
-        );
+            mesh,
+            statuses: buffer,
+            blocks: Arc::clone(blocks),
+            arena: Arc::clone(arena),
+        };
         self.shared
             .snapshot_heap_bytes
             .store(snapshot.heap_bytes(), Ordering::Relaxed);
@@ -452,7 +432,7 @@ impl RoutePublisher {
         debug_assert_eq!(self.shared.cell.epoch(), self.next_epoch);
         self.next_epoch += 1;
         self.shared.epochs_published.fetch_add(1, Ordering::Relaxed);
-        self.spare = Some(retired);
+        self.retired = Some(retired);
     }
 }
 

@@ -17,7 +17,7 @@
 //! finished-packet records are folded into the SLOs and cleared every cycle.
 //! Results are bit-identical across every thread knob.
 
-use lgfi_core::network::{LgfiNetwork, NetworkConfig};
+use lgfi_core::network::{InfoCounters, LgfiNetwork, NetworkConfig};
 use lgfi_core::routing::Router;
 use lgfi_core::slo::SloObserver;
 use lgfi_core::status::NodeStatus;
@@ -182,6 +182,7 @@ impl SloCampaign {
             drained,
             e_max_seen: obs.e_max_seen(),
             a_steps_max: obs.a_steps_max(),
+            info: net.info_counters(),
             tracker: obs.into_tracker(),
         }
     }
@@ -204,6 +205,8 @@ pub struct CampaignResult {
     pub e_max_seen: u64,
     /// Longest stabilisation seen in steps (the running Theorem-4 `a_max`).
     pub a_steps_max: u64,
+    /// The information plane's deterministic work counters at the end of the run.
+    pub info: InfoCounters,
     /// The accumulated SLOs.
     pub tracker: SloTracker,
 }

@@ -65,7 +65,7 @@ pub mod prelude {
     pub use lgfi_core::infostore::{InfoStore, MemoryFootprint};
     pub use lgfi_core::labeling::LabelingEngine;
     pub use lgfi_core::linkstate::LinkState;
-    pub use lgfi_core::network::{LgfiNetwork, NetworkConfig, ProbeReport};
+    pub use lgfi_core::network::{InfoCounters, LgfiNetwork, NetworkConfig, ProbeReport};
     pub use lgfi_core::route_service::{
         EpochSnapshot, RouteReader, RouteService, RouteServiceStats, RoutedQuery,
     };

@@ -473,6 +473,72 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
         "a warm wormhole TrafficEngine must not allocate per flit cycle"
     );
 
+    // --- Information plane: a boundary wave opening its windows. -----------------
+    // The same cluster fails, recovers and fails again.  The first wave and the
+    // deletion wave take both halves of the visible arena's double buffer to
+    // their high-water size, so once the third rebuild has scheduled the
+    // re-failure's wave, every step that opens windows only pops the schedule,
+    // re-filters the named nodes into the spare half and carries the clean runs
+    // over — and, in a debug build, runs the store-vs-arena oracle — without
+    // touching the heap.  Two identically warmed networks: count_allocations may
+    // re-run its body once, and a re-run must measure the same window.
+    {
+        use lgfi_core::network::{LgfiNetwork, NetworkConfig};
+        use lgfi_sim::{FaultEvent, FaultPlan};
+        let mesh = Mesh::cubic(32, 2);
+        let cluster = [
+            coord![15, 15],
+            coord![16, 16],
+            coord![15, 16],
+            coord![16, 15],
+        ];
+        let mut events = Vec::new();
+        for c in &cluster {
+            let id = mesh.id_of(c);
+            events.push(FaultEvent::fail(0, id));
+            events.push(FaultEvent::recover(80, id));
+            events.push(FaultEvent::fail(160, id));
+        }
+        let warm_network = || {
+            let mut net = LgfiNetwork::new(
+                mesh.clone(),
+                FaultPlan::new(events.clone()),
+                NetworkConfig::default(),
+            );
+            let mut idle = TrafficEngine::new(mesh.clone(), TrafficSpec::new(), &|| {
+                Box::new(LgfiRouter::new())
+            });
+            while net.convergence_records().len() < 3 {
+                net.run_traffic_step(&mut idle);
+            }
+            (net, idle)
+        };
+        let mut nets = [warm_network(), warm_network()];
+        let before = nets[0].0.info_counters();
+        let covered_before = nets[0].0.nodes_with_visible_info();
+        let mut next = 0;
+        let (allocs, ()) = count_allocations(|| {
+            let (net, idle) = &mut nets[next];
+            next += 1;
+            for _ in 0..48 {
+                net.run_traffic_step(idle);
+            }
+        });
+        let (net, _) = &nets[0];
+        assert!(
+            net.info_counters().nodes_refiltered > before.nodes_refiltered,
+            "the measured steps must re-filter nodes"
+        );
+        assert!(
+            net.nodes_with_visible_info() > covered_before,
+            "the measured steps must open windows"
+        );
+        assert_eq!(
+            allocs, 0,
+            "steps whose boundary windows open must not allocate after warm-up"
+        );
+    }
+
     // Sanity: the counter actually observes allocator traffic.
     let (allocs, v) = count_allocations(|| vec![1u8]);
     assert!(allocs > 0, "the counting allocator must see allocations");

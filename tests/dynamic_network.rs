@@ -29,6 +29,17 @@ fn information_distribution_is_gradual_and_complete() {
     let blocks = BlockSet::extract(&mesh, net.statuses());
     let boundary = BoundaryMap::construct(&mesh, &blocks);
     assert_eq!(final_coverage, boundary.nodes_with_info());
+    // The counters account for exactly that one block's boundary: every entry
+    // was scheduled once, none retired, and no node was re-filtered more often
+    // than its entries opened (nothing is re-filtered without a transition).
+    let counters = net.info_counters();
+    assert_eq!(counters.boundaries_constructed, 1);
+    assert_eq!(counters.entries_scheduled, boundary.total_entries() as u64);
+    assert_eq!(counters.entries_retired, 0);
+    assert_eq!(
+        counters.arena_refreshes, 0,
+        "no probe or service consumed the arena"
+    );
 }
 
 #[test]
@@ -125,6 +136,14 @@ fn recovery_mid_route_and_stale_information_deletion() {
     assert_eq!(net.nodes_with_visible_info(), 0);
     // Both the fault burst and the recovery produced convergence records.
     assert!(net.convergence_records().len() >= 2);
+    // The deletion wave has passed: the timed store retired every entry it had
+    // scheduled, and the arena was re-filtered only where windows opened or closed
+    // (each scheduled entry opens and closes once).
+    let counters = net.info_counters();
+    assert_eq!(counters.boundaries_constructed, 1);
+    assert_eq!(counters.entries_retired, counters.entries_scheduled);
+    assert!(counters.arena_refreshes > 0);
+    assert!(counters.nodes_refiltered <= 2 * counters.entries_scheduled);
 }
 
 #[test]

@@ -281,6 +281,7 @@ fn dynamic_network_runs_are_bit_identical_across_thread_counts() {
                 net.convergence_records().to_vec(),
                 net.round(),
                 net.nodes_with_visible_info(),
+                net.info_counters(),
                 format!("{:?}", net.reports()),
             )
         };

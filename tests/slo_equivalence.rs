@@ -131,6 +131,10 @@ fn campaign_slo_reports_are_bit_identical_across_every_knob() {
             );
             assert_eq!(reference.e_max_seen, knobbed.e_max_seen);
             assert_eq!(reference.a_steps_max, knobbed.a_steps_max);
+            assert_eq!(
+                reference.info, knobbed.info,
+                "information-plane counters diverged"
+            );
             // The condensed report row — what BENCH_engine.json records — must
             // therefore also be bit-identical.
             let mut a = SloReport::new();
@@ -191,6 +195,11 @@ fn long_horizon_churn_is_bit_identical_across_env_knobs() {
     let reference = base.run(&|| Box::new(LgfiRouter::new()));
     assert!(reference.tracker.bursts() > 0, "churn must actually fire");
     assert!(
+        reference.info.boundaries_constructed > 0 && reference.info.entries_retired > 0,
+        "churn must construct boundaries and retire expired ones: {:?}",
+        reference.info
+    );
+    assert!(
         reference.tracker.delivery_rate() > 0.5,
         "rate {}",
         reference.tracker.delivery_rate()
@@ -211,4 +220,5 @@ fn long_horizon_churn_is_bit_identical_across_env_knobs() {
         "churn campaign over {horizon} cycles diverged from the serial reference"
     );
     assert_eq!(reference.drained, knobbed.drained);
+    assert_eq!(reference.info, knobbed.info);
 }
