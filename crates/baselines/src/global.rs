@@ -14,7 +14,7 @@
 use std::cell::RefCell;
 
 use lgfi_core::boundary::BoundaryEntry;
-use lgfi_core::routing::{LgfiRouter, RouteCtx, Router, RoutingDecision};
+use lgfi_core::routing::{BoundaryInfo, LgfiRouter, RouteCtx, Router, RoutingDecision};
 use lgfi_topology::Direction;
 
 /// Adaptive routing with instantaneous global block knowledge.
@@ -71,7 +71,7 @@ impl Router for GlobalInfoRouter {
             }
         }
         let enriched = RouteCtx {
-            boundary_info: &synthetic,
+            boundary_info: BoundaryInfo::all(&synthetic),
             global_blocks: &[],
             ..*ctx
         };

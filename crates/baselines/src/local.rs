@@ -7,7 +7,7 @@
 //! is exactly the *routing difficulty* (extra detours and backtracking inside dead-end
 //! regions) the paper's limited-global information is designed to avoid.
 
-use lgfi_core::routing::{LgfiRouter, RouteCtx, Router, RoutingDecision};
+use lgfi_core::routing::{BoundaryInfo, LgfiRouter, RouteCtx, Router, RoutingDecision};
 
 /// Backtracking PCS routing using neighbor-status information only.
 #[derive(Debug, Clone, Default)]
@@ -34,7 +34,7 @@ impl Router for LocalInfoRouter {
         // Algorithm 3 but with an empty boundary store.  The context is `Copy`
         // borrows all the way down, so the stripped variant costs nothing.
         let stripped = RouteCtx {
-            boundary_info: &[],
+            boundary_info: BoundaryInfo::EMPTY,
             global_blocks: &[],
             ..*ctx
         };

@@ -64,29 +64,71 @@ pub struct BoundaryEntry {
 impl BoundaryEntry {
     /// True if, for a message currently able to move to `next` and destined for
     /// `dest`, taking that hop would enter the dangerous area guarded by this entry
-    /// (the criticality test of Section 2.2): the destination lies in the shadow
-    /// beyond the block in the `guard` direction and the next node lies in the shadow
-    /// on the opposite side.
+    /// (see [`critical_hop`]).
     pub fn is_critical_hop(&self, next: &Coord, dest: &Coord) -> bool {
-        let g = self.guard;
-        let dim = g.dim;
-        let in_cross_section = |c: &Coord| {
-            (0..self.block.ndim())
-                .filter(|&d| d != dim)
-                .all(|d| c[d] >= self.block.lo()[d] && c[d] <= self.block.hi()[d])
-        };
-        let dest_beyond = if g.positive {
-            dest[dim] > self.block.hi()[dim]
-        } else {
-            dest[dim] < self.block.lo()[dim]
-        };
-        let next_in_shadow = if g.positive {
-            next[dim] < self.block.lo()[dim]
-        } else {
-            next[dim] > self.block.hi()[dim]
-        };
-        dest_beyond && next_in_shadow && in_cross_section(dest) && in_cross_section(next)
+        critical_hop(&self.block, self.guard, next, dest)
     }
+
+    /// The entry as the borrowed form routing reads.
+    #[inline]
+    pub fn view(&self) -> BoundaryRef<'_> {
+        BoundaryRef {
+            block_id: self.block_id,
+            block: &self.block,
+            guard: self.guard,
+            arrival_offset: self.arrival_offset,
+        }
+    }
+}
+
+/// A [`BoundaryEntry`] as routing reads it: the block extent is borrowed from
+/// wherever the entry is stored, so a view over a timed store hands entries out
+/// without cloning a [`Region`] per read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BoundaryRef<'a> {
+    /// The id of the guarded block (see [`BoundaryEntry::block_id`]).
+    pub block_id: BlockId,
+    /// The extent of the guarded block.
+    pub block: &'a Region,
+    /// The direction of the adjacent surface the boundary is for.
+    pub guard: Direction,
+    /// Rounds after the block information is available at the block's frame until
+    /// this node receives it.
+    pub arrival_offset: u64,
+}
+
+impl BoundaryRef<'_> {
+    /// The criticality test of Section 2.2 (see [`critical_hop`]).
+    #[inline]
+    pub fn is_critical_hop(&self, next: &Coord, dest: &Coord) -> bool {
+        critical_hop(self.block, self.guard, next, dest)
+    }
+}
+
+/// The criticality test of Section 2.2: true if, for a message currently able to
+/// move to `next` and destined for `dest`, taking that hop enters the dangerous area
+/// of `block` guarded in direction `guard` — the destination lies in the shadow
+/// beyond the block in the `guard` direction and the next node lies in the shadow
+/// on the opposite side.
+#[inline]
+pub fn critical_hop(block: &Region, guard: Direction, next: &Coord, dest: &Coord) -> bool {
+    let dim = guard.dim;
+    let in_cross_section = |c: &Coord| {
+        (0..block.ndim())
+            .filter(|&d| d != dim)
+            .all(|d| c[d] >= block.lo()[d] && c[d] <= block.hi()[d])
+    };
+    let dest_beyond = if guard.positive {
+        dest[dim] > block.hi()[dim]
+    } else {
+        dest[dim] < block.lo()[dim]
+    };
+    let next_in_shadow = if guard.positive {
+        next[dim] < block.lo()[dim]
+    } else {
+        next[dim] > block.hi()[dim]
+    };
+    dest_beyond && next_in_shadow && in_cross_section(dest) && in_cross_section(next)
 }
 
 /// The boundary information of every node of a mesh for a given block set.

@@ -64,7 +64,7 @@ pub mod status;
 pub mod traffic_engine;
 
 pub use block::{BlockId, BlockSet, FaultyBlock};
-pub use boundary::{BoundaryEntry, BoundaryMap};
+pub use boundary::{BoundaryEntry, BoundaryMap, BoundaryRef};
 pub use bounds::{DetourBound, IntervalParams};
 pub use frame::{BlockFrame, Role};
 pub use identification::{IdentificationOutcome, IdentificationProcess};
@@ -74,8 +74,8 @@ pub use linkstate::LinkState;
 pub use network::{InfoCounters, LgfiNetwork, NetworkConfig, ProbeReport};
 pub use route_service::{EpochSnapshot, RouteReader, RouteService, RouteServiceStats, RoutedQuery};
 pub use routing::{
-    BoundarySource, CsrBoundary, DirectionClass, LgfiRouter, Probe, ProbeEngine, ProbeOutcome,
-    ProbeStatus, RouteCtx, Router, RoutingDecision,
+    BoundaryInfo, BoundarySource, CsrBoundary, DirectionClass, Extent, LgfiRouter, Probe,
+    ProbeEngine, ProbeOutcome, ProbeStatus, RouteCtx, Router, RoutingDecision, TimedEntry, Window,
 };
 pub use safety::is_safe_source;
 pub use slo::SloObserver;

@@ -27,17 +27,18 @@ use std::sync::Arc;
 use lgfi_sim::{FaultEvent, FaultEventKind, FaultPlan, FaultPlanCursor, StepConfig};
 use lgfi_topology::{Direction, Mesh, NodeId, Region};
 
-use crate::block::{BlockId, BlockSet, FaultyBlock};
+use crate::block::{BlockId, BlockSet};
 use crate::boundary::{BoundaryEntry, BoundaryMap};
 use crate::bounds::{DetourBound, IntervalParams};
 use crate::identification::IdentificationProcess;
 use crate::labeling::LabelingEngine;
 use crate::route_service::{RoutePublisher, RouteService};
 use crate::routing::{
-    fill_neighbor_slots, CsrBoundary, NeighborSlot, Probe, ProbeEngine, ProbeOutcome, ProbeStatus,
-    RouteCtx, Router, RoutingDecision,
+    fill_neighbor_slots, CsrBoundary, Extent, NeighborSlot, Probe, ProbeEngine, ProbeOutcome,
+    ProbeStatus, RouteCtx, Router, RoutingDecision, TimedEntry, Window,
 };
 use crate::status::NodeStatus;
+use crate::traffic_engine::CycleEnv;
 
 /// Configuration of the dynamic network.
 #[derive(Debug, Clone, Copy)]
@@ -110,10 +111,13 @@ pub struct InfoCounters {
     pub entries_scheduled: u64,
     /// Entries retired from the timed store once their deletion wave has passed.
     pub entries_retired: u64,
-    /// Refreshes of the visible arena that re-filtered at least one node.
-    pub arena_refreshes: u64,
-    /// Nodes re-filtered across those refreshes.
-    pub nodes_refiltered: u64,
+    /// Builds of the timed arena.  One follows a change of the wave set (a
+    /// rebuild or a wave retirement) once a consumer reads the arena; a window
+    /// opening or closing builds nothing.
+    pub arena_builds: u64,
+    /// Window openings and closings that took effect: due transitions of entries
+    /// whose window is open at some round.
+    pub transitions_published: u64,
 }
 
 /// One entry of a [`Wave`]: a node on one of the block's boundaries.
@@ -149,21 +153,26 @@ struct Wave {
 }
 
 impl Wave {
-    /// The round an entry with this arrival offset stops being visible, once the
-    /// extent has disappeared.
-    fn visible_until(&self, arrival_offset: u64) -> Option<u64> {
-        self.deleted_at.map(|d| d + arrival_offset + 1)
+    /// The visibility window of an entry with this arrival offset — the single
+    /// definition of the window, shared by the observable
+    /// [`LgfiNetwork::visible_info`] view, the timed arena and its debug-build
+    /// oracle so they can never diverge.
+    fn window(&self, arrival_offset: u64) -> Window {
+        Window {
+            from: self.start + arrival_offset,
+            until: self.deleted_at.map_or(u64::MAX, |d| d + arrival_offset + 1),
+        }
     }
 
-    /// True if the entry is visible at the given absolute round — the single
-    /// definition of the visibility window, shared by the observable
-    /// [`LgfiNetwork::visible_info`] view, the routing arena and its debug-build
-    /// oracle so they can never diverge.
+    /// True if the entry is visible at the given absolute round.
     fn visible_at(&self, e: &WaveEntry, round: u64) -> bool {
-        self.start + e.arrival_offset <= round
-            && self
-                .visible_until(e.arrival_offset)
-                .map_or(true, |u| round < u)
+        self.window(e.arrival_offset).contains(round)
+    }
+
+    /// True if the entry is visible at `round` or at some later round.
+    fn live_at(&self, e: &WaveEntry, round: u64) -> bool {
+        let window = self.window(e.arrival_offset);
+        window.until > round.max(window.from)
     }
 
     /// The wave's entries at `node`.
@@ -192,73 +201,133 @@ impl Wave {
     }
 }
 
-/// A scheduled visibility transition: an entry of wave `wave` at `node` opens or
-/// closes its window at the round it is keyed under.
+/// A scheduled visibility transition: an entry of wave `wave` opens or closes its
+/// window at the round it is keyed under.
 #[derive(Debug, Clone, Copy)]
 struct Transition {
-    node: NodeId,
     wave: u64,
     arrival_offset: u64,
 }
 
-/// The CSR arena of the boundary entries visible at each node: node `i`'s entries
-/// are `data[off[i]..off[i + 1]]`.  The live network and its published epoch
-/// snapshots share one arena behind an `Arc`; a refresh builds the next arena
-/// into the spare of a double buffer.
+/// The timed CSR arena: node `i`'s stored entries are `data[off[i]..off[i + 1]]`,
+/// each with its visibility window, and their blocks are `extents[entry.extent]`.
+/// Readers filter by round ([`VisibleArena::view`]), so a window opening or
+/// closing leaves the arena untouched: it is built only when the wave set
+/// changes.  The live network and its published epoch snapshots share one arena
+/// behind an `Arc`; a build writes into the spare of a double buffer.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct VisibleArena {
-    pub(crate) data: Vec<BoundaryEntry>,
-    pub(crate) off: Vec<usize>,
+    data: Vec<TimedEntry>,
+    off: Vec<usize>,
+    extents: Vec<Extent>,
 }
 
 impl VisibleArena {
-    /// An arena with no visible entry at any of `nodes` nodes.
+    /// An arena with no entry at any of `nodes` nodes.
     fn empty(nodes: usize) -> Self {
         VisibleArena {
             data: Vec::new(),
             off: vec![0; nodes + 1],
+            extents: Vec::new(),
         }
+    }
+
+    /// The entries of a stabilised boundary map, every one always visible.  The
+    /// map comes from one block set, so a block id names one extent.
+    pub(crate) fn always_visible(mesh: &Mesh, map: &BoundaryMap) -> Self {
+        let mut arena = VisibleArena::empty(0);
+        let mut extent_of: Vec<Option<u32>> = Vec::new();
+        for node in 0..mesh.node_count() {
+            for e in map.entries(node) {
+                if extent_of.len() <= e.block_id {
+                    extent_of.resize(e.block_id + 1, None);
+                }
+                let extent = *extent_of[e.block_id].get_or_insert_with(|| {
+                    arena.extents.push(Extent {
+                        block_id: e.block_id,
+                        block: e.block.clone(),
+                    });
+                    arena.extents.len() as u32 - 1
+                });
+                arena.data.push(TimedEntry {
+                    extent,
+                    guard: e.guard,
+                    arrival_offset: e.arrival_offset,
+                    window: Window::ALWAYS,
+                });
+            }
+            arena.off.push(arena.data.len());
+        }
+        arena
+    }
+
+    /// The arena read at `round`.
+    pub(crate) fn view(&self, round: u64) -> CsrBoundary<'_> {
+        CsrBoundary::new(&self.data, &self.off, &self.extents, round)
+    }
+
+    /// Entries visible at `round` across all nodes.
+    pub(crate) fn visible_entries(&self, round: u64) -> usize {
+        self.data
+            .iter()
+            .filter(|e| e.window.contains(round))
+            .count()
     }
 
     /// Approximate heap footprint in bytes (capacities × element sizes).
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<BoundaryEntry>()
+        self.data.capacity() * std::mem::size_of::<TimedEntry>()
             + self.off.capacity() * std::mem::size_of::<usize>()
+            + self.extents.capacity() * std::mem::size_of::<Extent>()
     }
 
-    /// Rebuilds `self` from `old`: the nodes in `dirty` (sorted, distinct) are
-    /// re-filtered from the timed store at `round`, and every run of clean nodes
-    /// between them is carried over from `old` in bulk.
-    fn refilter(&mut self, old: &VisibleArena, dirty: &[NodeId], waves: &[Wave], round: u64) {
-        self.data.clear();
-        // Both halves grow to the larger high-water mark, so a warm refresh
-        // never reallocates whichever half it lands on.  Exact: an amortized
-        // reserve would let the two halves outgrow each other in turn.
-        self.data.reserve_exact(old.data.capacity());
+    /// Rebuilds `self` from the timed store by a counting sort over `nodes`
+    /// nodes: at one node the entries keep wave order, then guard order (the
+    /// order routing sees them).  An arena is read only at rounds from its
+    /// build on, so the entries no longer live at `round` are left out.  Costs
+    /// O(nodes + stored entries) and reuses the buffers, so a warm build
+    /// allocates nothing.
+    fn build(&mut self, waves: &[Wave], nodes: usize, round: u64) {
         self.off.clear();
-        self.off.push(0);
-        let mut clean_from = 0;
-        for &node in dirty {
-            self.carry_clean_run(old, clean_from, node);
-            for wave in waves {
-                for e in wave.at(node) {
-                    if wave.visible_at(e, round) {
-                        self.data.push(wave.materialize(e));
-                    }
-                }
+        self.off.resize(nodes + 1, 0);
+        for wave in waves {
+            for e in wave.entries.iter().filter(|e| wave.live_at(e, round)) {
+                self.off[e.node + 1] += 1;
             }
-            self.off.push(self.data.len());
-            clean_from = node + 1;
         }
-        self.carry_clean_run(old, clean_from, old.off.len() - 1);
-    }
-
-    /// Appends `old`'s nodes `from..to` unchanged.
-    fn carry_clean_run(&mut self, old: &VisibleArena, from: NodeId, to: NodeId) {
-        let (lo, base) = (old.off[from], self.data.len());
-        self.data.extend_from_slice(&old.data[lo..old.off[to]]);
-        self.off
-            .extend(old.off[from + 1..=to].iter().map(|&o| o - lo + base));
+        for i in 1..=nodes {
+            self.off[i] += self.off[i - 1];
+        }
+        // `off[i]` is node i's start: use it as the node's write cursor, which
+        // leaves it at node i + 1's start, then shift the table back.
+        let unset = TimedEntry {
+            extent: 0,
+            guard: Direction::pos(0),
+            arrival_offset: 0,
+            window: Window::ALWAYS,
+        };
+        self.data.clear();
+        self.data.resize(self.off[nodes], unset);
+        self.extents.clear();
+        for (extent, wave) in waves.iter().enumerate() {
+            self.extents.push(Extent {
+                block_id: wave.block_id,
+                // audit:allow(alloc): one Region per extent, stored inline for meshes of up to 8 dimensions
+                block: wave.block.clone(),
+            });
+            for e in wave.entries.iter().filter(|e| wave.live_at(e, round)) {
+                let at = &mut self.off[e.node];
+                self.data[*at] = TimedEntry {
+                    extent: extent as u32,
+                    guard: e.guard,
+                    arrival_offset: e.arrival_offset,
+                    window: wave.window(e.arrival_offset),
+                };
+                *at += 1;
+            }
+        }
+        self.off.copy_within(0..nodes, 1);
+        self.off[0] = 0;
     }
 }
 
@@ -331,28 +400,30 @@ pub struct LgfiNetwork {
     /// left the transition set: a window that would open later without ever
     /// having been visible no longer counts as a change.
     pruned_through: u64,
-    /// Nodes named by due transitions and not yet re-filtered (sorted, distinct).
-    dirty_nodes: Vec<NodeId>,
     counters: InfoCounters,
     convergence: Vec<ConvergenceRecord>,
     probes: Vec<ProbeState>,
     reports: Vec<ProbeReport>,
-    /// The boundary entries *currently visible* at each node.  Routing decisions
-    /// borrow its slices directly instead of filtering the timed store per hop;
-    /// it is refreshed only at the nodes the schedule names, when their windows
-    /// open or close, not per hop or per round.  Shared with the latest published
-    /// epoch snapshot.
+    /// The timed store flattened per node, with every entry's visibility window.
+    /// Routing decisions borrow its slices and filter them by round, instead of
+    /// searching the timed store per hop; it is rebuilt only when the wave set
+    /// changes, not when a window opens or closes.  Shared with the latest
+    /// published epoch snapshot.
     vis: Arc<VisibleArena>,
-    /// The other half of the arena's double buffer: the next refresh builds into
+    /// The other half of the arena's double buffer: the next build writes into
     /// it once no snapshot shares it any more.
     vis_spare: Arc<VisibleArena>,
-    /// False when a rebuild changed the timed store, or a window opened or
-    /// closed, since the last refresh.
+    /// True when the wave set changed (a rebuild or a wave retirement) since the
+    /// arena was last built.  A retired wave is never visible again, so a stale
+    /// arena still reads right; it is rebuilt at the next refresh.
+    arena_stale: bool,
+    /// False when a rebuild ran, or a window opened or closed, since the last
+    /// refresh.
     vis_valid: bool,
-    /// Generation counter of the visible arena, bumped on every actual rebuild.
-    /// This is the single dirty signal the epoch publisher keys off: a step whose
-    /// refresh leaves the generation unchanged (and applied no fault events)
-    /// publishes nothing.
+    /// Generation counter of the visible information, bumped on every refresh
+    /// that follows a rebuild or a window opening or closing.  This is the single
+    /// dirty signal the epoch publisher keys off: a step whose refresh leaves the
+    /// generation unchanged (and applied no fault events) publishes nothing.
     vis_gen: u64,
     /// True while fault/recovery events applied at the current step have not yet
     /// been folded into the query plane's info-change count.
@@ -390,7 +461,7 @@ impl LgfiNetwork {
             next_wave: 0,
             schedule: BTreeMap::new(),
             pruned_through: 0,
-            dirty_nodes: Vec::new(),
+            arena_stale: false,
             counters: InfoCounters::default(),
             vis: Arc::new(VisibleArena::empty(mesh.node_count())),
             vis_spare: Arc::default(),
@@ -551,11 +622,8 @@ impl LgfiNetwork {
         // parallel execution bit-identical to serial.
         if !self.probes.is_empty() {
             self.refresh_visible_arena();
+            let env = step_env(&self.labeling, &self.blocks, &self.vis, self.round);
             let mesh = &self.mesh;
-            let statuses = self.labeling.statuses();
-            let blocks = self.blocks.blocks();
-            let vis_data = &self.vis.data;
-            let vis_off = &self.vis.off;
             let max_probe_steps = self.config.max_probe_steps;
             let probes = &mut self.probes;
             let workers = self.probe_threads.min(probes.len());
@@ -568,29 +636,13 @@ impl LgfiNetwork {
                     workers,
                     |_, chunk| {
                         for state in chunk {
-                            advance_probe(
-                                mesh,
-                                statuses,
-                                blocks,
-                                vis_data,
-                                vis_off,
-                                max_probe_steps,
-                                state,
-                            );
+                            advance_probe(mesh, &env, max_probe_steps, state);
                         }
                     },
                 );
             } else {
                 for state in probes.iter_mut() {
-                    advance_probe(
-                        mesh,
-                        statuses,
-                        blocks,
-                        vis_data,
-                        vis_off,
-                        max_probe_steps,
-                        state,
-                    );
+                    advance_probe(mesh, &env, max_probe_steps, state);
                 }
             }
         }
@@ -706,28 +758,27 @@ impl LgfiNetwork {
         self.begin_step_with(external);
         self.sync_query_plane();
         self.refresh_visible_arena();
-        traffic.run_cycle(&crate::traffic_engine::CycleEnv {
-            statuses: self.labeling.statuses(),
-            blocks: self.blocks.blocks(),
-            vis_data: &self.vis.data,
-            vis_off: &self.vis.off,
-        });
+        traffic.run_cycle(&step_env(
+            &self.labeling,
+            &self.blocks,
+            &self.vis,
+            self.round,
+        ));
         self.step += 1;
     }
 
-    /// Brings the visible arena up to the current round: the nodes named by the
-    /// transitions that fell due (collected at the end of every step) are
-    /// re-filtered from the timed store, the clean runs between them are carried
-    /// over, and the arena generation is bumped if the store changed or a window
-    /// opened or closed.  Steady state (no disturbance, no pending transition)
-    /// costs one branch.
+    /// Brings the visible information up to the current round: if the wave set
+    /// changed since the last build, the timed arena is rebuilt into the spare
+    /// half of the double buffer, and the generation is bumped if a rebuild ran
+    /// or a window opened or closed.  A window opening or closing alone costs one
+    /// increment, since readers filter by round.  Steady state (no disturbance,
+    /// no pending transition) costs one branch.
     fn refresh_visible_arena(&mut self) {
         if self.vis_valid {
             return;
         }
-        if !self.dirty_nodes.is_empty() {
-            self.counters.arena_refreshes += 1;
-            self.counters.nodes_refiltered += self.dirty_nodes.len() as u64;
+        if self.arena_stale {
+            self.counters.arena_builds += 1;
             if let Some(publisher) = &mut self.publisher {
                 publisher.release_retired();
             }
@@ -737,27 +788,27 @@ impl LgfiNetwork {
                 // audit:allow(alloc): cold path, taken only while a reader pins an old epoch
                 self.vis_spare = Arc::default();
             }
-            Arc::make_mut(&mut self.vis_spare).refilter(
-                &self.vis,
-                &self.dirty_nodes,
+            Arc::make_mut(&mut self.vis_spare).build(
                 &self.waves,
+                self.mesh.node_count(),
                 self.round,
             );
             std::mem::swap(&mut self.vis, &mut self.vis_spare);
-            self.dirty_nodes.clear();
+            self.arena_stale = false;
+            #[cfg(debug_assertions)]
+            self.check_visible_arena();
         }
         self.vis_valid = true;
         self.vis_gen += 1;
-        #[cfg(debug_assertions)]
-        self.check_visible_arena();
     }
 
-    /// Moves the transitions due by the current round off the schedule: the
-    /// nodes of those still in the transition set join `dirty_nodes`.  Then retires
-    /// the waves that can never be visible again.  Runs at the end of every step
-    /// and before every rebuild; a round with nothing due costs one lookup.
+    /// Moves the transitions due by the current round off the schedule: one of
+    /// an entry still in the transition set invalidates the visible information.
+    /// Then retires the waves that can never be visible again.  Runs at the end
+    /// of every step and before every rebuild; a round with nothing due costs one
+    /// lookup.
     fn collect_due(&mut self) {
-        let (mut popped, mut collected) = (false, false);
+        let mut popped = false;
         while let Some(due) = self.schedule.first_entry() {
             if *due.key() > self.round {
                 break;
@@ -767,25 +818,20 @@ impl LgfiNetwork {
                 let Ok(at) = self.waves.binary_search_by_key(&t.wave, |w| w.serial) else {
                     continue;
                 };
-                let pruned = self.waves[at]
-                    .visible_until(t.arrival_offset)
-                    .is_some_and(|u| u <= self.pruned_through);
-                if !pruned {
-                    self.dirty_nodes.push(t.node);
-                    collected = true;
+                let window = self.waves[at].window(t.arrival_offset);
+                if window.until > self.pruned_through {
+                    self.vis_valid = false;
+                    if !window.is_empty() {
+                        self.counters.transitions_published += 1;
+                    }
                 }
             }
-        }
-        if collected {
-            self.vis_valid = false;
-            self.dirty_nodes.sort_unstable();
-            self.dirty_nodes.dedup();
         }
         // A wave retires at the round of its last scheduled transition.
         if !popped {
             return;
         }
-        let round = self.round;
+        let (round, stored) = (self.round, self.waves.len());
         let mut retired = 0u64;
         self.waves.retain(|w| {
             let live = w.retired_at().map_or(true, |r| r > round);
@@ -795,48 +841,52 @@ impl LgfiNetwork {
             live
         });
         self.counters.entries_retired += retired;
+        self.arena_stale |= self.waves.len() < stored;
     }
 
-    /// Debug-build oracle of the incremental refresh: walks the timed store and
-    /// the arena side by side.  Every visible entry must sit in its node's arena
-    /// slice at exactly its store position (after the visible entries of earlier
-    /// waves at that node), and the arena must hold nothing else.  The walk costs
-    /// the store's entries, not the mesh, and allocates nothing, so the
-    /// zero-allocation suites hold in debug builds too.
+    /// Debug-build oracle of the arena build: walks the timed store and the arena
+    /// side by side.  Every stored entry still live at the build's round must
+    /// sit in its node's arena slice at exactly its store position (after the
+    /// live entries of earlier waves at that node), carrying its wave's extent
+    /// and window, and the arena must hold nothing else.  The walk costs the store's entries, not the mesh, and
+    /// allocates nothing, so the zero-allocation suites hold in debug builds too.
     #[cfg(debug_assertions)]
     fn check_visible_arena(&self) {
         let (arena, round) = (&self.vis, self.round);
+        let live_at =
+            |w: &Wave, node: NodeId| w.at(node).iter().filter(|e| w.live_at(e, round)).count();
         assert_eq!(arena.off.len(), self.mesh.node_count() + 1);
-        let visible_at =
-            |w: &Wave, node: NodeId| w.at(node).iter().filter(|e| w.visible_at(e, round)).count();
+        assert_eq!(arena.extents.len(), self.waves.len());
         let mut total = 0;
         for (i, wave) in self.waves.iter().enumerate() {
-            // (node, arena position of the wave's next visible entry there)
+            let extent = &arena.extents[i];
+            assert!(
+                extent.block_id == wave.block_id && extent.block == wave.block,
+                "arena extent {i} diverged from its wave"
+            );
+            // (node, arena position of the wave's next entry there)
             let mut slot = (usize::MAX, 0);
-            for e in wave.entries.iter().filter(|e| wave.visible_at(e, round)) {
+            for e in wave.entries.iter().filter(|e| wave.live_at(e, round)) {
                 if slot.0 != e.node {
-                    let earlier: usize =
-                        self.waves[..i].iter().map(|w| visible_at(w, e.node)).sum();
+                    let earlier: usize = self.waves[..i].iter().map(|w| live_at(w, e.node)).sum();
                     slot = (e.node, arena.off[e.node] + earlier);
                 }
-                let held = arena.data[..arena.off[e.node + 1]].get(slot.1);
+                let expected = TimedEntry {
+                    extent: i as u32,
+                    guard: e.guard,
+                    arrival_offset: e.arrival_offset,
+                    window: wave.window(e.arrival_offset),
+                };
                 assert!(
-                    held.is_some_and(|g| g.block_id == wave.block_id
-                        && g.block == wave.block
-                        && g.guard == e.guard
-                        && g.arrival_offset == e.arrival_offset),
-                    "visible arena diverged from the timed store at node {}, round {round}",
+                    arena.data[..arena.off[e.node + 1]].get(slot.1) == Some(&expected),
+                    "timed arena diverged from the timed store at node {}",
                     e.node
                 );
                 slot.1 += 1;
                 total += 1;
             }
         }
-        assert_eq!(
-            total,
-            arena.data.len(),
-            "visible arena holds stale entries at round {round}"
-        );
+        assert_eq!(total, arena.data.len(), "timed arena holds stale entries");
     }
 
     /// Publishes a new [`EpochSnapshot`](crate::route_service::EpochSnapshot) to the
@@ -919,7 +969,7 @@ impl LgfiNetwork {
             &self.mesh,
             self.labeling.statuses(),
             self.blocks.blocks(),
-            CsrBoundary::new(&self.vis.data, &self.vis.off),
+            self.vis.view(self.round),
             router,
             source,
             dest,
@@ -963,6 +1013,7 @@ impl LgfiNetwork {
                 continue;
             }
             wave.deleted_at = Some(self.round);
+            self.arena_stale = true;
             for e in &wave.entries {
                 schedule(&mut self.schedule, self.round + 1, wave.serial, e);
             }
@@ -984,6 +1035,7 @@ impl LgfiNetwork {
         let mut b_rounds = 0u64;
         let mut c_rounds = 0u64;
         if !changed.is_empty() {
+            self.arena_stale = true;
             let ident = IdentificationProcess::default();
             let built = BoundaryMap::construct_for(&self.mesh, &new_blocks, &changed);
             #[cfg(debug_assertions)]
@@ -1099,7 +1151,6 @@ fn schedule(schedule: &mut BTreeMap<u64, Vec<Transition>>, base: u64, wave: u64,
         .entry(base + e.arrival_offset)
         .or_default()
         .push(Transition {
-            node: e.node,
             wave,
             arrival_offset: e.arrival_offset,
         });
@@ -1133,21 +1184,28 @@ fn check_construct_for(
     assert!(built.next().is_none(), "construct_for built extra entries");
 }
 
+/// The frozen environment a step's routing phase reads: the statuses, the blocks
+/// and the timed arena at the current round.
+fn step_env<'a>(
+    labeling: &'a LabelingEngine,
+    blocks: &'a BlockSet,
+    vis: &'a VisibleArena,
+    round: u64,
+) -> CycleEnv<'a> {
+    CycleEnv {
+        statuses: labeling.statuses(),
+        blocks: blocks.blocks(),
+        boundary: vis.view(round),
+    }
+}
+
 /// Advances one in-flight probe by a single step-model decision against the frozen
 /// step state: the forced backtrack off a freshly faulty node, the unreachable check
 /// for a faulty destination, and otherwise one Algorithm-3 decision over the visible
 /// boundary information.  Pure function of the shared step state and the probe's own
 /// mutable state, so probe workers can run it concurrently with bit-identical
 /// results.
-fn advance_probe(
-    mesh: &Mesh,
-    statuses: &[NodeStatus],
-    blocks: &[FaultyBlock],
-    vis_data: &[BoundaryEntry],
-    vis_off: &[usize],
-    max_probe_steps: u64,
-    state: &mut ProbeState,
-) {
+fn advance_probe(mesh: &Mesh, env: &CycleEnv<'_>, max_probe_steps: u64, state: &mut ProbeState) {
     if state.probe.status != ProbeStatus::InFlight {
         return;
     }
@@ -1158,25 +1216,25 @@ fn advance_probe(
     let current = state.probe.current;
     // A probe sitting on a node that just became faulty is forced back onto the
     // previous node of its reserved path.
-    if statuses[current] == NodeStatus::Faulty {
+    if env.statuses[current] == NodeStatus::Faulty {
         state.probe.apply(mesh, RoutingDecision::Backtrack);
         return;
     }
-    if statuses[state.probe.dest] == NodeStatus::Faulty {
+    if env.statuses[state.probe.dest] == NodeStatus::Faulty {
         state.probe.status = ProbeStatus::Unreachable;
         return;
     }
     let current_coord = mesh.coord_of(current);
     let dest_coord = mesh.coord_of(state.probe.dest);
-    fill_neighbor_slots(mesh, statuses, current, &mut state.slots);
+    fill_neighbor_slots(mesh, env.statuses, current, &mut state.slots);
     let ctx = RouteCtx {
         mesh,
         current: &current_coord,
         dest: &dest_coord,
-        current_status: statuses[current],
+        current_status: env.statuses[current],
         neighbors: &state.slots,
-        boundary_info: &vis_data[vis_off[current]..vis_off[current + 1]],
-        global_blocks: blocks,
+        boundary_info: env.boundary.at(current),
+        global_blocks: env.blocks,
         used: state.probe.used_here(),
         incoming: state.probe.incoming,
     };

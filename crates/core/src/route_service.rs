@@ -7,7 +7,7 @@
 //! **control plane** (faults occur, labeling/identification/boundary construction
 //! converge, information propagates), and on every observable information change it
 //! publishes an immutable [`EpochSnapshot`] — node statuses, identified blocks, and
-//! the visible-boundary CSR arena plus the mesh — into an
+//! the timed boundary CSR arena read at its round, plus the mesh — into an
 //! [`EpochCell`].  Any number of [`RouteReader`]s then resolve
 //! source→dest queries against their checked-out epoch through a per-reader
 //! recycled [`ProbeEngine`]:
@@ -31,7 +31,7 @@
 //! and only the node statuses are copied.  The publisher double-buffers — the
 //! retired snapshot is reclaimed once the last reader has moved on, returning its
 //! statuses buffer to the next publish and its arena to the network's next
-//! refresh — so steady-state fault churn does not grow memory.
+//! arena build — so steady-state fault churn does not grow memory.
 //!
 //! ```
 //! use lgfi_core::network::{LgfiNetwork, NetworkConfig};
@@ -67,8 +67,9 @@ use crate::status::NodeStatus;
 use crate::network::LgfiNetwork;
 
 /// An immutable view of everything a routing decision consults, frozen at one
-/// information epoch: node statuses, identified faulty blocks, the
-/// visible-boundary CSR arena, and the mesh (dims + strides for neighbor fill).
+/// information epoch: node statuses, identified faulty blocks, the timed
+/// boundary CSR arena read at the snapshot's round, and the mesh (dims +
+/// strides for neighbor fill).
 /// The blocks and the arena are shared with the live network that built them,
 /// not copied; the statuses are the snapshot's own.
 ///
@@ -82,7 +83,8 @@ pub struct EpochSnapshot {
     mesh: Mesh,
     statuses: Vec<NodeStatus>,
     blocks: Arc<BlockSet>,
-    /// Visible boundary entries, shared with the live network at this epoch.
+    /// The timed boundary arena, shared with the live network at this epoch and
+    /// read at `round`.
     arena: Arc<VisibleArena>,
 }
 
@@ -118,14 +120,14 @@ impl EpochSnapshot {
         self.blocks.blocks()
     }
 
-    /// The visible-boundary arena as a borrowed CSR view.
+    /// The boundary arena as a borrowed CSR view read at the snapshot's round.
     pub fn boundary(&self) -> CsrBoundary<'_> {
-        CsrBoundary::new(&self.arena.data, &self.arena.off)
+        self.arena.view(self.round)
     }
 
     /// Total boundary entries visible across all nodes at this epoch.
     pub fn visible_entries(&self) -> usize {
-        self.arena.data.len()
+        self.arena.visible_entries(self.round)
     }
 
     /// Approximate heap footprint of the buffers the snapshot reads, in bytes
@@ -300,7 +302,7 @@ impl RouteReader {
             &snap.mesh,
             &snap.statuses,
             snap.blocks.blocks(),
-            CsrBoundary::new(&snap.arena.data, &snap.arena.off),
+            snap.boundary(),
             router,
             source,
             dest,
@@ -328,8 +330,8 @@ pub(crate) struct RoutePublisher {
     /// The epoch number the next publish will carry (the cell assigns the same
     /// sequence; kept here so the snapshot can embed its own epoch).
     next_epoch: u64,
-    /// The network's visible-arena generation (`vis_gen`) the last published
-    /// snapshot shares — the unified dirty flag of the publish seam.
+    /// The network's visible-information generation (`vis_gen`) the last
+    /// published snapshot shows — the unified dirty flag of the publish seam.
     published_gen: u64,
 }
 

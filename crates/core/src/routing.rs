@@ -30,10 +30,10 @@
 //! paper's rule.
 
 use lgfi_topology::direction::DirectionSet;
-use lgfi_topology::{Coord, Direction, Mesh, NodeId};
+use lgfi_topology::{Coord, Direction, Mesh, NodeId, Region};
 
-use crate::block::FaultyBlock;
-use crate::boundary::{BoundaryEntry, BoundaryMap};
+use crate::block::{BlockId, FaultyBlock};
+use crate::boundary::{BoundaryEntry, BoundaryMap, BoundaryRef};
 use crate::status::NodeStatus;
 
 /// One entry of the direction-indexed neighbor table of a [`RouteCtx`]: slot
@@ -60,56 +60,220 @@ pub fn fill_neighbor_slots(
     }
 }
 
+/// A visibility window in absolute information rounds, half-open at both ends:
+/// an entry is visible at round `r` iff `from <= r < until`.  A window whose
+/// information was deleted before it arrived (`until <= from`) is never visible.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Window {
+    /// The first round the entry is visible at.
+    pub from: u64,
+    /// The first round the entry is no longer visible at.
+    pub until: u64,
+}
+
+impl Window {
+    /// The window of information that never arrives late and is never deleted.
+    pub const ALWAYS: Window = Window {
+        from: 0,
+        until: u64::MAX,
+    };
+
+    /// True if the window is open at `round`.
+    #[inline]
+    pub fn contains(&self, round: u64) -> bool {
+        // Both bounds are tested without a branch between them: read-time
+        // filtering sits on the per-hop path.
+        (self.from <= round) & (round < self.until)
+    }
+
+    /// True if the window is open at no round.
+    pub fn is_empty(&self) -> bool {
+        self.until <= self.from
+    }
+}
+
+/// The block a [`TimedEntry`] guards: one row of a timed store's extent table,
+/// shared by all of the block's entries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Extent {
+    /// The block's id in the set its boundary was built from.
+    pub block_id: BlockId,
+    /// The block extent.
+    pub block: Region,
+}
+
+/// A stored boundary entry with its visibility window: what a node holds and
+/// from which round to which round.  `Copy` and compact — the block lives once in
+/// the extent table, at index `extent` — so a timed store is built by a plain
+/// counting sort and filtered by round where it is read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimedEntry {
+    /// Index of the guarded block in the store's extent table.
+    pub extent: u32,
+    /// The direction of the adjacent surface the boundary is for.
+    pub guard: Direction,
+    /// Rounds after the block information is available at the block's frame until
+    /// this node receives it.
+    pub arrival_offset: u64,
+    /// The rounds the entry is visible in.
+    pub window: Window,
+}
+
+const _: () = assert!(std::mem::size_of::<TimedEntry>() <= 48);
+
+impl TimedEntry {
+    #[inline]
+    fn view<'a>(&self, extents: &'a [Extent]) -> BoundaryRef<'a> {
+        let extent = &extents[self.extent as usize];
+        BoundaryRef {
+            block_id: extent.block_id,
+            block: &extent.block,
+            guard: self.guard,
+            arrival_offset: self.arrival_offset,
+        }
+    }
+}
+
+/// The boundary information a node holds at one round, as routing reads it:
+/// either a plain list of entries that are all visible, or a node's timed
+/// entries filtered by the round at read time.  `Copy`, so a [`RouteCtx`] stays
+/// `Copy`.
+#[derive(Debug, Clone, Copy)]
+pub struct BoundaryInfo<'a> {
+    /// Entries that are all visible (empty for a timed view).
+    all: &'a [BoundaryEntry],
+    /// Entries visible while their window is open at `round` (empty for a
+    /// plain list).
+    timed: &'a [TimedEntry],
+    extents: &'a [Extent],
+    round: u64,
+}
+
+impl<'a> BoundaryInfo<'a> {
+    /// No information at all.
+    pub const EMPTY: BoundaryInfo<'static> = BoundaryInfo {
+        all: &[],
+        timed: &[],
+        extents: &[],
+        round: 0,
+    };
+
+    /// Entries that are all visible.
+    pub fn all(entries: &'a [BoundaryEntry]) -> Self {
+        BoundaryInfo {
+            all: entries,
+            ..BoundaryInfo::EMPTY
+        }
+    }
+
+    /// The entries of `entries` whose window is open at `round`; their blocks are
+    /// `extents[entry.extent]`.
+    pub fn timed(entries: &'a [TimedEntry], extents: &'a [Extent], round: u64) -> Self {
+        BoundaryInfo {
+            timed: entries,
+            extents,
+            round,
+            ..BoundaryInfo::EMPTY
+        }
+    }
+
+    /// The visible entries, in store order.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = BoundaryRef<'a>> + 'a {
+        let (extents, round) = (self.extents, self.round);
+        self.all.iter().map(BoundaryEntry::view).chain(
+            self.timed
+                .iter()
+                .filter(move |e| e.window.contains(round))
+                .map(move |e| e.view(extents)),
+        )
+    }
+
+    /// True if no entry is visible.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+}
+
 /// A per-node source of boundary information for the probe engine.
 ///
 /// The hop loop of [`ProbeEngine`] only ever asks "what boundary entries are stored
 /// at the node currently holding the probe?".  Abstracting that lookup lets the same
 /// loop route against a live [`BoundaryMap`] (the static experiments) or against the
-/// flattened `vis_data`/`vis_off` CSR arena of an
-/// [`EpochSnapshot`](crate::route_service::EpochSnapshot) — which is what makes
-/// snapshot-resolved routes bit-identical to routes resolved against the live
-/// network frozen at the same epoch.
+/// timed CSR arena of an [`EpochSnapshot`](crate::route_service::EpochSnapshot)
+/// filtered at its round — which is what makes snapshot-resolved routes
+/// bit-identical to routes resolved against the live network frozen at the same
+/// epoch.
 pub trait BoundarySource {
     /// The boundary entries stored at (and visible to) `node`.
-    fn entries_for(&self, node: NodeId) -> &[BoundaryEntry];
+    fn entries_for(&self, node: NodeId) -> BoundaryInfo<'_>;
 }
 
 impl BoundarySource for BoundaryMap {
     #[inline]
-    fn entries_for(&self, node: NodeId) -> &[BoundaryEntry] {
-        self.entries(node)
+    fn entries_for(&self, node: NodeId) -> BoundaryInfo<'_> {
+        BoundaryInfo::all(self.entries(node))
     }
 }
 
-/// A borrowed CSR view over a flattened boundary arena: node `i`'s entries are
-/// `data[off[i]..off[i + 1]]` — the `vis_data`/`vis_off` layout used by
-/// [`LgfiNetwork`](crate::network::LgfiNetwork) and by epoch snapshots.
+/// A borrowed CSR view over a timed boundary arena read at one round: node `i`'s
+/// stored entries are `data[off[i]..off[i + 1]]`, their blocks sit in `extents`,
+/// and an entry is visible if its window is open at `round` — the layout of
+/// [`LgfiNetwork`](crate::network::LgfiNetwork)'s arena and of epoch snapshots.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrBoundary<'a> {
-    data: &'a [BoundaryEntry],
+    data: &'a [TimedEntry],
     off: &'a [usize],
+    extents: &'a [Extent],
+    round: u64,
 }
 
 impl<'a> CsrBoundary<'a> {
-    /// Wraps a `(data, off)` arena pair.
+    /// Wraps a `(data, off)` arena pair over the extent table `extents`, read at
+    /// `round`.
     ///
     /// # Panics
     /// Panics if the offset table is empty or its last offset overruns `data`.
-    pub fn new(data: &'a [BoundaryEntry], off: &'a [usize]) -> Self {
+    pub fn new(
+        data: &'a [TimedEntry],
+        off: &'a [usize],
+        extents: &'a [Extent],
+        round: u64,
+    ) -> Self {
         assert!(
             !off.is_empty() && off[off.len() - 1] <= data.len(),
             "malformed boundary CSR arena: {} offsets over {} entries",
             off.len(),
             data.len()
         );
-        CsrBoundary { data, off }
+        CsrBoundary {
+            data,
+            off,
+            extents,
+            round,
+        }
+    }
+
+    /// The number of nodes the arena covers.
+    pub fn node_count(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// The information visible at `node` at the view's round.
+    #[inline]
+    pub fn at(&self, node: NodeId) -> BoundaryInfo<'a> {
+        BoundaryInfo::timed(
+            &self.data[self.off[node]..self.off[node + 1]],
+            self.extents,
+            self.round,
+        )
     }
 }
 
 impl BoundarySource for CsrBoundary<'_> {
     #[inline]
-    fn entries_for(&self, node: NodeId) -> &[BoundaryEntry] {
-        &self.data[self.off[node]..self.off[node + 1]]
+    fn entries_for(&self, node: NodeId) -> BoundaryInfo<'_> {
+        self.at(node)
     }
 }
 
@@ -141,7 +305,7 @@ pub struct RouteCtx<'a> {
     pub neighbors: &'a [NeighborSlot],
     /// The boundary/block information stored at the current node and visible at this
     /// round (limited global information).
-    pub boundary_info: &'a [BoundaryEntry],
+    pub boundary_info: BoundaryInfo<'a>,
     /// Global block view — only for the global-information baselines.
     pub global_blocks: &'a [FaultyBlock],
     /// Directions already used by this probe at this node.
@@ -1112,7 +1276,7 @@ mod tests {
             dest: &dest,
             current_status: NodeStatus::Enabled,
             neighbors: &slots,
-            boundary_info: env.boundary.entries(env.mesh.id_of(&node)),
+            boundary_info: BoundaryInfo::all(env.boundary.entries(env.mesh.id_of(&node))),
             global_blocks: &[],
             used: DirectionSet::empty(),
             incoming: Some(Direction::pos(1)),
@@ -1141,6 +1305,62 @@ mod tests {
             router.decide(&ctx),
             RoutingDecision::Forward(Direction::pos(1))
         );
+    }
+
+    #[test]
+    fn windows_are_half_open_at_both_ends() {
+        let window = Window { from: 3, until: 6 };
+        let open: Vec<u64> = (0..10).filter(|&r| window.contains(r)).collect();
+        assert_eq!(open, [3, 4, 5]);
+        assert!(!window.is_empty());
+        assert!(Window::ALWAYS.contains(0) && Window::ALWAYS.contains(u64::MAX - 1));
+    }
+
+    #[test]
+    fn a_window_deleted_before_it_opened_is_never_visible() {
+        let extents = [Extent {
+            block_id: 0,
+            block: lgfi_topology::Region::new(vec![4, 4], vec![5, 5]),
+        }];
+        let entry = |from, until| TimedEntry {
+            extent: 0,
+            guard: Direction::pos(0),
+            arrival_offset: 2,
+            window: Window { from, until },
+        };
+        // Deleted before, and exactly when, it would have arrived; then one
+        // entry that does open, so the filter is seen to keep something.
+        let entries = [entry(5, 2), entry(5, 5), entry(3, 6)];
+        assert!(entries[0].window.is_empty() && entries[1].window.is_empty());
+        for round in 0..12 {
+            let visible: Vec<BoundaryRef<'_>> = BoundaryInfo::timed(&entries, &extents, round)
+                .iter()
+                .collect();
+            let expected = usize::from((3..6).contains(&round));
+            assert_eq!(visible.len(), expected, "round {round}");
+        }
+    }
+
+    #[test]
+    fn all_and_always_open_timed_views_yield_the_same_entries() {
+        let env = build_env(
+            Mesh::cubic(16, 2),
+            &[coord![5, 7], coord![10, 8], coord![6, 7], coord![2, 12]],
+        );
+        let arena = crate::network::VisibleArena::always_visible(&env.mesh, &env.boundary);
+        let mut seen = 0;
+        for node in 0..env.mesh.node_count() {
+            let all: Vec<BoundaryRef<'_>> = BoundaryInfo::all(env.boundary.entries(node))
+                .iter()
+                .collect();
+            for round in [0, 17, u64::MAX - 1] {
+                let timed: Vec<BoundaryRef<'_>> = arena.view(round).at(node).iter().collect();
+                assert_eq!(all, timed, "node {node}, round {round}");
+            }
+            seen += all.len();
+        }
+        assert_eq!(seen, env.boundary.total_entries());
+        assert!(seen > 0);
     }
 
     #[test]

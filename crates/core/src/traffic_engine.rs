@@ -61,10 +61,12 @@
 //! packet-granularity fault model of the PR-5 engine.
 
 use crate::block::FaultyBlock;
-use crate::boundary::{BoundaryEntry, BoundaryMap};
+use crate::boundary::BoundaryMap;
 use crate::linkstate::LinkState;
+use crate::network::VisibleArena;
 use crate::routing::{
-    fill_neighbor_slots, NeighborSlot, Probe, ProbeStatus, RouteCtx, Router, RoutingDecision,
+    fill_neighbor_slots, CsrBoundary, NeighborSlot, Probe, ProbeStatus, RouteCtx, Router,
+    RoutingDecision,
 };
 use crate::status::NodeStatus;
 use lgfi_sim::{TrafficStats, NO_OWNER};
@@ -261,19 +263,17 @@ impl TrafficSpec {
 }
 
 /// The frozen per-cycle environment a packet decision is allowed to look at: node
-/// statuses, the global block view (for the idealised baselines) and the CSR arena
-/// of the boundary information *visible at each node this cycle* (node `i`'s entries
-/// are `vis_data[vis_off[i]..vis_off[i + 1]]`).
+/// statuses, the global block view (for the idealised baselines) and the timed
+/// boundary arena read at the cycle's round, which yields the information
+/// *visible at each node this cycle*.
 #[derive(Debug, Clone, Copy)]
 pub struct CycleEnv<'a> {
     /// Detected status of every node.
     pub statuses: &'a [NodeStatus],
     /// Global block view — only consulted by the global-information baselines.
     pub blocks: &'a [FaultyBlock],
-    /// CSR data array of currently-visible boundary entries.
-    pub vis_data: &'a [BoundaryEntry],
-    /// CSR offset table (`node_count + 1` entries).
-    pub vis_off: &'a [usize],
+    /// The timed entries, their extent table and the round they are read at.
+    pub boundary: CsrBoundary<'a>,
 }
 
 /// An owned, fully-stabilised [`CycleEnv`]: every node holds its complete boundary
@@ -284,31 +284,22 @@ pub struct CycleEnv<'a> {
 pub struct StaticTrafficEnv {
     statuses: Vec<NodeStatus>,
     blocks: Vec<FaultyBlock>,
-    vis_data: Vec<BoundaryEntry>,
-    vis_off: Vec<usize>,
+    arena: VisibleArena,
 }
 
 impl StaticTrafficEnv {
     /// Flattens a stabilised environment (statuses, blocks, boundary map) into the
-    /// CSR layout packet decisions borrow per cycle.
+    /// timed CSR layout packet decisions borrow per cycle, every window open.
     pub fn new(
         mesh: &Mesh,
         statuses: &[NodeStatus],
         blocks: &[FaultyBlock],
         boundary: &BoundaryMap,
     ) -> Self {
-        let mut vis_data = Vec::new();
-        let mut vis_off = Vec::with_capacity(mesh.node_count() + 1);
-        vis_off.push(0);
-        for node in 0..mesh.node_count() {
-            vis_data.extend_from_slice(boundary.entries(node));
-            vis_off.push(vis_data.len());
-        }
         StaticTrafficEnv {
             statuses: statuses.to_vec(),
             blocks: blocks.to_vec(),
-            vis_data,
-            vis_off,
+            arena: VisibleArena::always_visible(mesh, boundary),
         }
     }
 
@@ -317,8 +308,7 @@ impl StaticTrafficEnv {
         CycleEnv {
             statuses: &self.statuses,
             blocks: &self.blocks,
-            vis_data: &self.vis_data,
-            vis_off: &self.vis_off,
+            boundary: self.arena.view(0),
         }
     }
 }
@@ -622,8 +612,8 @@ impl TrafficEngine {
     /// retirement.
     pub fn run_cycle(&mut self, env: &CycleEnv<'_>) {
         debug_assert_eq!(
-            env.vis_off.len(),
-            self.mesh.node_count() + 1,
+            env.boundary.node_count(),
+            self.mesh.node_count(),
             "cycle env CSR offsets must cover the mesh"
         );
         // --- Decision phase (shardable: pure per-packet functions of `env`). ------
@@ -824,7 +814,7 @@ fn decide_packet(
         dest: &dest_coord,
         current_status: env.statuses[current],
         neighbors: &p.slots,
-        boundary_info: &env.vis_data[env.vis_off[current]..env.vis_off[current + 1]],
+        boundary_info: env.boundary.at(current),
         global_blocks: env.blocks,
         used: p.probe.used_here(),
         incoming: p.probe.incoming,

@@ -87,7 +87,9 @@ fn main() {
                 dest: &dest_coord,
                 current_status: labeling.status(probe.current),
                 neighbors: &slots,
-                boundary_info: boundary.entries(probe.current),
+                boundary_info: lgfi::core::routing::BoundaryInfo::all(
+                    boundary.entries(probe.current),
+                ),
                 global_blocks: blocks.blocks(),
                 used: probe.used_here(),
                 incoming: probe.incoming,

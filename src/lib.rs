@@ -58,7 +58,7 @@ pub mod prelude {
         DimensionOrderRouter, GlobalInfoRouter, LocalInfoRouter, StaticBlockRouter,
     };
     pub use lgfi_core::block::{BlockSet, FaultyBlock};
-    pub use lgfi_core::boundary::{BoundaryEntry, BoundaryMap};
+    pub use lgfi_core::boundary::{BoundaryEntry, BoundaryMap, BoundaryRef};
     pub use lgfi_core::bounds::{DetourBound, IntervalParams};
     pub use lgfi_core::frame::{BlockFrame, Role};
     pub use lgfi_core::identification::{IdentificationOutcome, IdentificationProcess};

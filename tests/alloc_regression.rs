@@ -475,12 +475,11 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
 
     // --- Information plane: a boundary wave opening its windows. -----------------
     // The same cluster fails, recovers and fails again.  The first wave and the
-    // deletion wave take both halves of the visible arena's double buffer to
-    // their high-water size, so once the third rebuild has scheduled the
-    // re-failure's wave, every step that opens windows only pops the schedule,
-    // re-filters the named nodes into the spare half and carries the clean runs
-    // over — and, in a debug build, runs the store-vs-arena oracle — without
-    // touching the heap.  Two identically warmed networks: count_allocations may
+    // deletion wave take both halves of the timed arena's double buffer to their
+    // high-water size, so once the third rebuild has scheduled the re-failure's
+    // wave, every step that opens windows only pops the schedule and bumps the
+    // generation — readers filter the arena by round — without touching the
+    // heap.  Two identically warmed networks: count_allocations may
     // re-run its body once, and a re-run must measure the same window.
     {
         use lgfi_core::network::{LgfiNetwork, NetworkConfig};
@@ -526,8 +525,8 @@ fn steady_state_rounds_allocate_nothing_in_the_serial_engines() {
         });
         let (net, _) = &nets[0];
         assert!(
-            net.info_counters().nodes_refiltered > before.nodes_refiltered,
-            "the measured steps must re-filter nodes"
+            net.info_counters().transitions_published > before.transitions_published,
+            "the measured steps must publish window openings"
         );
         assert!(
             net.nodes_with_visible_info() > covered_before,

@@ -66,8 +66,8 @@ fn information_plane_counters_grow_with_the_side_not_the_node_count() {
             ("boundaries_constructed", c.boundaries_constructed),
             ("entries_scheduled", c.entries_scheduled),
             ("entries_retired", c.entries_retired),
-            ("arena_refreshes", c.arena_refreshes),
-            ("nodes_refiltered", c.nodes_refiltered),
+            ("arena_builds", c.arena_builds),
+            ("transitions_published", c.transitions_published),
         ]
     };
     for ((name, s), (_, l)) in fields(&small).into_iter().zip(fields(&large)) {
