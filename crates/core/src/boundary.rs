@@ -36,6 +36,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use lgfi_topology::direction::DirectionSet;
 use lgfi_topology::{Coord, Direction, FrameLevel, Mesh, NodeId, Region};
 
 use crate::block::{BlockId, BlockSet};
@@ -112,23 +113,67 @@ impl BoundaryRef<'_> {
 /// on the opposite side.
 #[inline]
 pub fn critical_hop(block: &Region, guard: Direction, next: &Coord, dest: &Coord) -> bool {
-    let dim = guard.dim;
-    let in_cross_section = |c: &Coord| {
-        (0..block.ndim())
-            .filter(|&d| d != dim)
-            .all(|d| c[d] >= block.lo()[d] && c[d] <= block.hi()[d])
-    };
-    let dest_beyond = if guard.positive {
-        dest[dim] > block.hi()[dim]
+    dest_beyond(block, guard, dest.as_slice()) && next_in_shadow(block, guard, |d| next[d])
+}
+
+/// Marks in `marked` every distance-reducing hop from `current` towards `dest`
+/// that [`critical_hop`] flags for `block` guarded in `guard`: the test for all
+/// preferred directions of one routing decision at once, its destination half
+/// evaluated once and no next-node [`Coord`] built.
+#[inline]
+pub(crate) fn mark_critical_steps(
+    block: &Region,
+    guard: Direction,
+    current: &[i32],
+    dest: &[i32],
+    marked: &mut DirectionSet,
+) {
+    if !dest_beyond(block, guard, dest) {
+        return;
+    }
+    for (dim, (&from, &to)) in current.iter().zip(dest).enumerate() {
+        if from != to {
+            let step = Direction::new(dim, from < to);
+            let next = |d: usize| current[d] + if d == dim { step.delta() } else { 0 };
+            if next_in_shadow(block, guard, next) {
+                marked.insert(step);
+            }
+        }
+    }
+}
+
+/// The destination half of the Section-2.2 test: `dest` lies beyond the block in
+/// the `guard` direction, within its cross-section.
+#[inline]
+fn dest_beyond(block: &Region, guard: Direction, dest: &[i32]) -> bool {
+    let (lo, hi, dim) = (block.lo(), block.hi(), guard.dim);
+    let beyond = if guard.positive {
+        dest[dim] > hi[dim]
     } else {
-        dest[dim] < block.lo()[dim]
+        dest[dim] < lo[dim]
     };
-    let next_in_shadow = if guard.positive {
-        next[dim] < block.lo()[dim]
+    beyond && in_cross_section(lo, hi, dim, |d| dest[d])
+}
+
+/// The next-node half of the Section-2.2 test: the node at positions `next` lies
+/// in the shadow on the side of the block opposite `guard`.
+#[inline]
+fn next_in_shadow(block: &Region, guard: Direction, next: impl Fn(usize) -> i32) -> bool {
+    let (lo, hi, dim) = (block.lo(), block.hi(), guard.dim);
+    let in_shadow = if guard.positive {
+        next(dim) < lo[dim]
     } else {
-        next[dim] > block.hi()[dim]
+        next(dim) > hi[dim]
     };
-    dest_beyond && next_in_shadow && in_cross_section(dest) && in_cross_section(next)
+    in_shadow && in_cross_section(lo, hi, dim, next)
+}
+
+/// True if the positions `at` lie within `lo..=hi` in every dimension but `dim`.
+#[inline]
+fn in_cross_section(lo: &[i32], hi: &[i32], dim: usize, at: impl Fn(usize) -> i32) -> bool {
+    (0..lo.len())
+        .filter(|&d| d != dim)
+        .all(|d| (lo[d]..=hi[d]).contains(&at(d)))
 }
 
 /// The boundary information of every node of a mesh for a given block set.
@@ -496,6 +541,45 @@ mod tests {
         assert!(!entry.is_critical_hop(&coord![4, 4, 3], &coord![4, 0, 3]));
         // Destination above the block top (z outside cross-section): not critical.
         assert!(!entry.is_critical_hop(&coord![4, 4, 3], &coord![4, 8, 7]));
+    }
+
+    #[test]
+    fn marked_critical_steps_are_the_preferred_hops_the_hop_form_flags() {
+        let block = Region::new(vec![3, 5, 3], vec![5, 6, 4]);
+        let around = Region::new(vec![1, 2, 1], vec![7, 9, 6]);
+        let dests = [
+            coord![4, 8, 3],
+            coord![4, 0, 4],
+            coord![7, 5, 3],
+            coord![2, 6, 6],
+            coord![5, 8, 4],
+        ];
+        let mut critical = 0;
+        for guard in Direction::iter_all(3) {
+            for current in around.iter_coords() {
+                for dest in &dests {
+                    let mut marked = DirectionSet::empty();
+                    mark_critical_steps(
+                        &block,
+                        guard,
+                        current.as_slice(),
+                        dest.as_slice(),
+                        &mut marked,
+                    );
+                    let expected: DirectionSet = Direction::iter_all(3)
+                        .filter(|&step| {
+                            let offset = dest[step.dim] - current[step.dim];
+                            offset != 0
+                                && (offset > 0) == step.positive
+                                && critical_hop(&block, guard, &current.step(step), dest)
+                        })
+                        .collect();
+                    assert_eq!(marked, expected, "{guard:?} {current:?} {dest:?}");
+                    critical += marked.len();
+                }
+            }
+        }
+        assert!(critical > 0);
     }
 
     #[test]

@@ -34,8 +34,8 @@ use crate::identification::IdentificationProcess;
 use crate::labeling::LabelingEngine;
 use crate::route_service::{RoutePublisher, RouteService};
 use crate::routing::{
-    fill_neighbor_slots, CsrBoundary, Extent, NeighborSlot, Probe, ProbeEngine, ProbeOutcome,
-    ProbeStatus, RouteCtx, Router, RoutingDecision, TimedEntry, Window,
+    CsrBoundary, Extent, NeighborSlot, Probe, ProbeEngine, ProbeOutcome, ProbeStatus, Router,
+    RoutingDecision, TimedEntry, Window,
 };
 use crate::status::NodeStatus;
 use crate::traffic_engine::CycleEnv;
@@ -708,7 +708,7 @@ impl LgfiNetwork {
         if fault_occurred {
             // Record D(i) for every in-flight probe at this fault occurrence.
             for p in &mut self.probes {
-                let d = self.mesh.distance(p.probe.current, p.probe.dest);
+                let d = p.probe.distance();
                 p.distance_at_fault.insert(self.step, d);
             }
         }
@@ -1224,20 +1224,13 @@ fn advance_probe(mesh: &Mesh, env: &CycleEnv<'_>, max_probe_steps: u64, state: &
         state.probe.status = ProbeStatus::Unreachable;
         return;
     }
-    let current_coord = mesh.coord_of(current);
-    let dest_coord = mesh.coord_of(state.probe.dest);
-    fill_neighbor_slots(mesh, env.statuses, current, &mut state.slots);
-    let ctx = RouteCtx {
+    let ctx = state.probe.route_ctx(
         mesh,
-        current: &current_coord,
-        dest: &dest_coord,
-        current_status: env.statuses[current],
-        neighbors: &state.slots,
-        boundary_info: env.boundary.at(current),
-        global_blocks: env.blocks,
-        used: state.probe.used_here(),
-        incoming: state.probe.incoming,
-    };
+        env.statuses,
+        env.boundary.at(current),
+        env.blocks,
+        &mut state.slots,
+    );
     let decision = state.router.decide(&ctx);
     state.probe.apply(mesh, decision);
 }

@@ -33,7 +33,7 @@ use lgfi_topology::direction::DirectionSet;
 use lgfi_topology::{Coord, Direction, Mesh, NodeId, Region};
 
 use crate::block::{BlockId, FaultyBlock};
-use crate::boundary::{BoundaryEntry, BoundaryMap, BoundaryRef};
+use crate::boundary::{mark_critical_steps, BoundaryEntry, BoundaryMap, BoundaryRef};
 use crate::status::NodeStatus;
 
 /// One entry of the direction-indexed neighbor table of a [`RouteCtx`]: slot
@@ -44,19 +44,24 @@ use crate::status::NodeStatus;
 /// load instead of a linear scan over the neighbor list.
 pub type NeighborSlot = Option<(NodeId, NodeStatus)>;
 
-/// Fills `slots` with the direction-indexed neighbor table of `node` (`2n` entries,
-/// indexed by [`Direction::index`]).  The vector is cleared and refilled in place, so
-/// a warm buffer is never reallocated — this is the per-hop neighbor scan of the
-/// routing data plane.
+/// Fills `slots` with the direction-indexed neighbor table of `node`, whose
+/// coordinate is `coord` (`2n` entries, indexed by [`Direction::index`]).  Each
+/// entry costs a bounds test on `coord` and one stride ([`Mesh::neighbor_at`]), no
+/// division.  The vector is cleared and refilled in place, so a warm buffer is never
+/// reallocated — this is the per-hop neighbor table of the routing data plane.
 pub fn fill_neighbor_slots(
     mesh: &Mesh,
     statuses: &[NodeStatus],
     node: NodeId,
+    coord: &Coord,
     slots: &mut Vec<NeighborSlot>,
 ) {
     slots.clear();
     for dir in Direction::iter_all(mesh.ndim()) {
-        slots.push(mesh.neighbor_id(node, dir).map(|nid| (nid, statuses[nid])));
+        slots.push(
+            mesh.neighbor_at(node, coord, dir)
+                .map(|nid| (nid, statuses[nid])),
+        );
     }
 }
 
@@ -323,8 +328,7 @@ impl RouteCtx<'_> {
     /// True if the hop in `dir` reduces the distance to the destination.
     #[inline]
     pub fn is_preferred(&self, dir: Direction) -> bool {
-        let delta = self.dest[dir.dim] - self.current[dir.dim];
-        (dir.positive && delta > 0) || (!dir.positive && delta < 0)
+        shrinks(self.dest[dir.dim] - self.current[dir.dim], dir)
     }
 
     /// The detected status of the neighbor in `dir`, if it exists — a constant-time
@@ -398,6 +402,18 @@ impl LgfiRouter {
     /// all (outside the mesh, already used, or pointing at a known faulty/disabled
     /// node).
     pub fn classify(&self, ctx: &RouteCtx<'_>, dir: Direction) -> Option<DirectionClass> {
+        self.class_of(ctx, &NodeView::read(ctx), dir)
+    }
+
+    /// The one classification rule behind [`LgfiRouter::classify`] and the
+    /// decision, over what `view` has read of the node once.
+    #[inline]
+    fn class_of(
+        &self,
+        ctx: &RouteCtx<'_>,
+        view: &NodeView<'_>,
+        dir: Direction,
+    ) -> Option<DirectionClass> {
         if ctx.used.contains(dir) {
             return None;
         }
@@ -411,40 +427,27 @@ impl LgfiRouter {
         if Some(dir) == ctx.incoming.map(|d| d.opposite()) {
             return Some(DirectionClass::Incoming);
         }
-        if ctx.is_preferred(dir) {
-            // Critical-routing test: does any boundary entry stored here flag this hop?
-            let next = ctx.current.step(dir);
-            let critical = ctx
-                .boundary_info
-                .iter()
-                .any(|e| e.is_critical_hop(&next, ctx.dest));
-            if critical {
+        if view.is_preferred(dir) {
+            // Critical routing: a boundary entry stored here flags this hop.
+            if view.critical.contains(dir) {
                 return Some(DirectionClass::PreferredButDetour);
             }
             return Some(DirectionClass::Preferred);
         }
-        // Spare direction.  "Along the block" means: some preferred direction is
-        // blocked by a faulty/disabled neighbor, so moving sideways slides around that
-        // block's surface.
-        let blocked_preferred = Direction::iter_all(ctx.mesh.ndim()).any(|p| {
-            ctx.is_preferred(p)
-                && ctx
-                    .neighbor_status(p)
-                    .map(|s| s.in_block())
-                    .unwrap_or(false)
-        });
-        if blocked_preferred {
+        if view.blocked_preferred {
             Some(DirectionClass::SpareAlongBlock)
         } else {
             Some(DirectionClass::Spare)
         }
     }
 
-    /// Orders the candidate directions by (class, tie-break) and returns the best one.
+    /// Orders the candidate directions by (class, tie-break) and returns the best
+    /// one, reading the node once for all of them.
     fn best_direction(&self, ctx: &RouteCtx<'_>) -> Option<(Direction, DirectionClass)> {
+        let view = NodeView::read(ctx);
         let mut best: Option<(Direction, DirectionClass, i64)> = None;
-        for dir in Direction::iter_all(ctx.mesh.ndim()) {
-            let Some(class) = self.classify(ctx, dir) else {
+        for dir in Direction::iter_all(view.current.len()) {
+            let Some(class) = self.class_of(ctx, &view, dir) else {
                 continue;
             };
             // Tie-break within a class: preferred moves pick the dimension with the
@@ -452,7 +455,7 @@ impl LgfiRouter {
             // the dimension with the *smallest* remaining offset, so that a detour
             // slides around the block instead of retreating along the main travel
             // axis.  The direction index breaks remaining ties deterministically.
-            let offset = (ctx.dest[dir.dim] - ctx.current[dir.dim]).abs() as i64;
+            let offset = i64::from(view.offset(dir.dim).abs());
             let score = match class {
                 DirectionClass::Preferred | DirectionClass::PreferredButDetour => {
                     -offset * 16 + dir.index() as i64
@@ -470,6 +473,65 @@ impl LgfiRouter {
         }
         best.map(|(d, c, _)| (d, c))
     }
+}
+
+/// What one Algorithm-3 decision reads of its node once, whatever the candidate
+/// direction: the positions as slices, whether a preferred direction is blocked
+/// and which preferred directions the visible boundary entries flag.
+struct NodeView<'c> {
+    current: &'c [i32],
+    dest: &'c [i32],
+    /// Some preferred direction leads into a faulty or disabled neighbor, so a
+    /// sideways move slides along that neighbor's block.
+    blocked_preferred: bool,
+    /// The preferred directions whose hop enters a dangerous area guarded by a
+    /// visible boundary entry (Section 2.2).  One pass over the entries, which a
+    /// node without information skips.
+    critical: DirectionSet,
+}
+
+impl<'c> NodeView<'c> {
+    #[inline]
+    fn read(ctx: &RouteCtx<'c>) -> Self {
+        let (current, dest) = (ctx.current.as_slice(), ctx.dest.as_slice());
+        // The preferred direction of dimension `d` is the sign of its offset.
+        let blocked_preferred = (0..current.len()).any(|d| {
+            let offset = dest[d] - current[d];
+            offset != 0
+                && ctx
+                    .neighbor_status(Direction::new(d, offset > 0))
+                    .is_some_and(NodeStatus::in_block)
+        });
+        let mut critical = DirectionSet::empty();
+        for e in ctx.boundary_info.iter() {
+            mark_critical_steps(e.block, e.guard, current, dest, &mut critical);
+        }
+        NodeView {
+            current,
+            dest,
+            blocked_preferred,
+            critical,
+        }
+    }
+
+    /// The remaining offset `dest - current` along `dim`.
+    #[inline]
+    fn offset(&self, dim: usize) -> i32 {
+        self.dest[dim] - self.current[dim]
+    }
+
+    /// True if the hop in `dir` reduces the distance (see [`RouteCtx::is_preferred`]).
+    #[inline]
+    fn is_preferred(&self, dir: Direction) -> bool {
+        shrinks(self.offset(dir.dim), dir)
+    }
+}
+
+/// True if a hop in `dir` shrinks `offset`, the destination's position minus the
+/// current one along `dir.dim`.
+#[inline]
+fn shrinks(offset: i32, dir: Direction) -> bool {
+    (dir.positive && offset > 0) || (!dir.positive && offset < 0)
 }
 
 impl Router for LgfiRouter {
@@ -530,8 +592,9 @@ const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// entries (load at most 1/2, linear probing, a fixed multiplicative hash — so the
 /// layout is deterministic and `HashMap` stays out of the engine under DET-001).
 /// Lookups and inserts are one hash and a short probe run; [`UsedDirections::clear`]
-/// resets in `O(touched)` by popping the entries and emptying their index slots, so
-/// a recycled probe keeps its warm capacity and never re-zeroes it.  Heap use
+/// resets in `O(touched)` — one fill of an index no larger than eight slots per
+/// entry, or else popping the entries and emptying their index slots — so a
+/// recycled probe keeps its warm capacity.  Heap use
 /// follows the number of nodes touched ([`UsedDirections::heap_bytes`]), never the
 /// mesh: a packet costs the same on a 16×16 and on a 512×512 mesh.
 ///
@@ -624,10 +687,18 @@ impl UsedDirections {
 
     /// Resets every recorded set in `O(touched)` without shrinking the buffers.
     ///
-    /// Entries leave in reverse first-touch order, so every entry still present
+    /// While the index holds at most eight slots per entry, one sequential fill
+    /// costs less than re-hashing every entry, so the index is emptied whole.
+    /// Otherwise (a store grown by a long route, now reset after a short one)
+    /// entries leave in reverse first-touch order, so every entry still present
     /// was placed before the one being removed and no probe run it belongs to
     /// crosses the slot being emptied.
     pub fn clear(&mut self) {
+        if 8 * self.entries.len() >= self.index.len() {
+            self.index.fill(EMPTY_SLOT);
+            self.entries.clear();
+            return;
+        }
         while let Some(&(node, _)) = self.entries.last() {
             let slot = self.slot_of(node);
             self.index[slot] = EMPTY_SLOT;
@@ -695,6 +766,11 @@ impl UsedDirections {
 /// mesh.  [`Probe::reset`] rewinds it for a new source/destination pair while
 /// keeping the buffers at their high-water capacity, which is how the batched sweep
 /// and the [`ProbeEngine`] achieve zero steady-state allocations per probe.
+///
+/// The probe also carries the coordinates of `current` and `dest`, stepped with
+/// every hop, so a hop is stride arithmetic with no id-to-coordinate division.
+/// It moves only through [`Probe::apply`] and [`Probe::reset`]; writing `current`
+/// directly would leave the carried coordinate behind.
 #[derive(Debug, Clone)]
 pub struct Probe {
     /// The source node.
@@ -719,11 +795,16 @@ pub struct Probe {
     pub status: ProbeStatus,
     /// The initial source-to-destination distance (the paper's `D`).
     pub initial_distance: u32,
+    /// The coordinate of `current`.
+    current_coord: Coord,
+    /// The coordinate of `dest`.
+    dest_coord: Coord,
 }
 
 impl Probe {
     /// A new probe at its source.
     pub fn new(mesh: &Mesh, source: NodeId, dest: NodeId) -> Self {
+        let (current_coord, dest_coord) = (mesh.coord_of(source), mesh.coord_of(dest));
         Probe {
             source,
             dest,
@@ -734,7 +815,9 @@ impl Probe {
             steps: 0,
             backtracks: 0,
             status: ProbeStatus::InFlight,
-            initial_distance: mesh.distance(source, dest),
+            initial_distance: current_coord.manhattan(&dest_coord),
+            current_coord,
+            dest_coord,
         }
     }
 
@@ -759,7 +842,54 @@ impl Probe {
         self.steps = 0;
         self.backtracks = 0;
         self.status = ProbeStatus::InFlight;
-        self.initial_distance = mesh.distance(source, dest);
+        self.current_coord = mesh.coord_of(source);
+        self.dest_coord = mesh.coord_of(dest);
+        self.initial_distance = self.current_coord.manhattan(&self.dest_coord);
+    }
+
+    /// The coordinate of the node holding the probe.
+    #[inline]
+    pub fn current_coord(&self) -> &Coord {
+        &self.current_coord
+    }
+
+    /// The coordinate of the destination.
+    #[inline]
+    pub fn dest_coord(&self) -> &Coord {
+        &self.dest_coord
+    }
+
+    /// The Manhattan distance from the node holding the probe to the destination.
+    #[inline]
+    pub fn distance(&self) -> u32 {
+        self.current_coord.manhattan(&self.dest_coord)
+    }
+
+    /// The routing context at the node holding the probe: refills `slots` with the
+    /// node's neighbor table and borrows the carried coordinates.  The hop loops of
+    /// the probe engine, the dynamic network and the traffic engine all build their
+    /// context here.
+    #[inline]
+    pub fn route_ctx<'a>(
+        &'a self,
+        mesh: &'a Mesh,
+        statuses: &[NodeStatus],
+        boundary_info: BoundaryInfo<'a>,
+        global_blocks: &'a [FaultyBlock],
+        slots: &'a mut Vec<NeighborSlot>,
+    ) -> RouteCtx<'a> {
+        fill_neighbor_slots(mesh, statuses, self.current, &self.current_coord, slots);
+        RouteCtx {
+            mesh,
+            current: &self.current_coord,
+            dest: &self.dest_coord,
+            current_status: statuses[self.current],
+            neighbors: slots,
+            boundary_info,
+            global_blocks,
+            used: self.used_here(),
+            incoming: self.incoming,
+        }
     }
 
     /// The used-direction set of the current node.
@@ -784,9 +914,10 @@ impl Probe {
             RoutingDecision::Forward(dir) => {
                 self.used.insert(self.current, dir);
                 let next = mesh
-                    .neighbor_id(self.current, dir)
+                    .neighbor_at(self.current, &self.current_coord, dir)
                     // audit:allow(panic): Algorithm 3 only offers in-mesh directions; an off-mesh Forward is a router bug worth crashing on
                     .expect("router returned an off-mesh direction");
+                self.current_coord[dir.dim] += dir.delta();
                 self.path.push(next);
                 self.current = next;
                 self.incoming = Some(dir);
@@ -803,15 +934,23 @@ impl Probe {
                 self.path.pop();
                 // audit:allow(panic): guarded above — path.len() > 1 before the pop, so a last element remains
                 let prev = *self.path.last().expect("path retains the source");
-                self.incoming = mesh
-                    .coord_of(self.current)
-                    .direction_to(&mesh.coord_of(prev));
+                // Consecutive path nodes are mesh neighbors, so this is always Some.
+                self.incoming = mesh.hop_direction(self.current, &self.current_coord, prev);
+                if let Some(back) = self.incoming {
+                    self.current_coord[back.dim] += back.delta();
+                }
                 self.current = prev;
             }
             RoutingDecision::Fail => {
                 self.status = ProbeStatus::Failed;
             }
         }
+        debug_assert_eq!(
+            self.current_coord,
+            mesh.coord_of(self.current),
+            "the carried coordinate left node {}",
+            self.current
+        );
     }
 
     /// Summarises the finished probe.
@@ -984,25 +1123,18 @@ impl ProbeEngine {
             probe.status = ProbeStatus::Unreachable;
             return probe.outcome();
         }
-        let dest_coord = mesh.coord_of(probe.dest);
         while probe.status == ProbeStatus::InFlight {
             if probe.steps >= max_steps {
                 probe.status = ProbeStatus::Exhausted;
                 break;
             }
-            let current_coord = mesh.coord_of(probe.current);
-            fill_neighbor_slots(mesh, statuses, probe.current, &mut self.slots);
-            let ctx = RouteCtx {
+            let ctx = probe.route_ctx(
                 mesh,
-                current: &current_coord,
-                dest: &dest_coord,
-                current_status: statuses[probe.current],
-                neighbors: &self.slots,
-                boundary_info: boundary.entries_for(probe.current),
-                global_blocks: blocks,
-                used: probe.used_here(),
-                incoming: probe.incoming,
-            };
+                statuses,
+                boundary.entries_for(probe.current),
+                blocks,
+                &mut self.slots,
+            );
             let decision = router.decide(&ctx);
             probe.apply(mesh, decision);
         }
@@ -1269,7 +1401,13 @@ mod tests {
         let node = coord![4, 5];
         let dest = coord![8, 13];
         let mut slots = Vec::new();
-        fill_neighbor_slots(&env.mesh, &env.statuses, env.mesh.id_of(&node), &mut slots);
+        fill_neighbor_slots(
+            &env.mesh,
+            &env.statuses,
+            env.mesh.id_of(&node),
+            &node,
+            &mut slots,
+        );
         let ctx = RouteCtx {
             mesh: &env.mesh,
             current: &node,
@@ -1305,6 +1443,159 @@ mod tests {
             router.decide(&ctx),
             RoutingDecision::Forward(Direction::pos(1))
         );
+    }
+
+    /// Algorithm 3's per-direction rule as first written: one direction at a time,
+    /// the next node built as a coordinate, the blocked-preferred scan repeated per
+    /// spare direction.  The reference the one-pass decision is checked against.
+    fn reference_class(
+        router: &LgfiRouter,
+        ctx: &RouteCtx<'_>,
+        dir: Direction,
+    ) -> Option<DirectionClass> {
+        if ctx.used.contains(dir) {
+            return None;
+        }
+        let status = ctx.neighbor_status(dir)?;
+        if status == NodeStatus::Faulty
+            || (router.avoid_known_blocked && status == NodeStatus::Disabled)
+        {
+            return None;
+        }
+        if Some(dir) == ctx.incoming.map(|d| d.opposite()) {
+            return Some(DirectionClass::Incoming);
+        }
+        if ctx.is_preferred(dir) {
+            let next = ctx.current.step(dir);
+            let critical = ctx
+                .boundary_info
+                .iter()
+                .any(|e| e.is_critical_hop(&next, ctx.dest));
+            return Some(if critical {
+                DirectionClass::PreferredButDetour
+            } else {
+                DirectionClass::Preferred
+            });
+        }
+        let blocked_preferred = Direction::iter_all(ctx.mesh.ndim())
+            .any(|p| ctx.is_preferred(p) && ctx.neighbor_status(p).is_some_and(|s| s.in_block()));
+        Some(if blocked_preferred {
+            DirectionClass::SpareAlongBlock
+        } else {
+            DirectionClass::Spare
+        })
+    }
+
+    /// On seeded random 2-D and 3-D contexts — random used sets, incoming
+    /// directions, faulty and disabled neighbors, both `avoid_known_blocked`
+    /// settings and boundary entries placed to make hops critical — `classify`
+    /// matches the reference rule and `best_direction` picks the minimum
+    /// `(class, score)` over `classify`.
+    #[test]
+    fn the_one_pass_decision_picks_the_minimum_over_classify() {
+        use lgfi_sim::DetRng;
+        use std::collections::BTreeMap;
+        let mut rng = DetRng::seed_from_u64(0xa1_93);
+        let mut classes: BTreeMap<DirectionClass, usize> = BTreeMap::new();
+        for mesh in [Mesh::cubic(9, 2), Mesh::new(&[6, 5, 7])] {
+            let n = mesh.ndim();
+            let statuses = [
+                NodeStatus::Enabled,
+                NodeStatus::Disabled,
+                NodeStatus::Faulty,
+            ];
+            for case in 0..3000 {
+                let at = |rng: &mut DetRng| {
+                    Coord::from_slice(
+                        &mesh
+                            .dims()
+                            .iter()
+                            .map(|&k| rng.range_i32(0, k - 1))
+                            .collect::<Vec<_>>(),
+                    )
+                };
+                let (current, dest) = (at(&mut rng), at(&mut rng));
+                let node = mesh.id_of(&current);
+                let slots: Vec<NeighborSlot> = Direction::iter_all(n)
+                    .map(|dir| {
+                        let status = if rng.chance(0.6) {
+                            NodeStatus::Enabled
+                        } else {
+                            *rng.choose(&statuses)
+                        };
+                        mesh.neighbor_id(node, dir).map(|nid| (nid, status))
+                    })
+                    .collect();
+                // Blocks one or two hops ahead of the node, some of them between it
+                // and the destination, guarded on random sides.
+                let entries: Vec<BoundaryEntry> = (0..rng.below(4))
+                    .map(|i| {
+                        let lo: Vec<i32> =
+                            (0..n).map(|d| current[d] + rng.range_i32(-2, 2)).collect();
+                        let hi: Vec<i32> = lo.iter().map(|&x| x + rng.range_i32(0, 2)).collect();
+                        let guard = if rng.chance(0.5) {
+                            let d = rng.below(n);
+                            Direction::new(d, dest[d] > current[d])
+                        } else {
+                            Direction::from_index(rng.below(2 * n))
+                        };
+                        BoundaryEntry {
+                            block_id: i,
+                            block: Region::new(lo, hi),
+                            guard,
+                            arrival_offset: 0,
+                        }
+                    })
+                    .collect();
+                let used: DirectionSet =
+                    Direction::iter_all(n).filter(|_| rng.chance(0.2)).collect();
+                let incoming = rng
+                    .chance(0.7)
+                    .then(|| Direction::from_index(rng.below(2 * n)));
+                let ctx = RouteCtx {
+                    mesh: &mesh,
+                    current: &current,
+                    dest: &dest,
+                    current_status: NodeStatus::Enabled,
+                    neighbors: &slots,
+                    boundary_info: BoundaryInfo::all(&entries),
+                    global_blocks: &[],
+                    used,
+                    incoming,
+                };
+                let router = LgfiRouter {
+                    avoid_known_blocked: case % 4 != 0,
+                };
+                let mut reference: Option<(DirectionClass, i64, Direction)> = None;
+                for dir in Direction::iter_all(n) {
+                    let class = router.classify(&ctx, dir);
+                    assert_eq!(
+                        class,
+                        reference_class(&router, &ctx, dir),
+                        "{mesh:?} case {case} {dir:?}"
+                    );
+                    let Some(class) = class else { continue };
+                    *classes.entry(class).or_default() += 1;
+                    let offset = i64::from((dest[dir.dim] - current[dir.dim]).abs());
+                    let score = match class {
+                        DirectionClass::Preferred | DirectionClass::PreferredButDetour => {
+                            -offset * 16 + dir.index() as i64
+                        }
+                        _ => offset * 16 + dir.index() as i64,
+                    };
+                    if reference.map_or(true, |(c, sc, _)| (class, score) < (c, sc)) {
+                        reference = Some((class, score, dir));
+                    }
+                }
+                assert_eq!(
+                    router.best_direction(&ctx),
+                    reference.map(|(class, _, dir)| (dir, class)),
+                    "{mesh:?} case {case}"
+                );
+            }
+        }
+        // Every class was seen, the critical one included.
+        assert_eq!(classes.len(), 5, "{classes:?}");
     }
 
     #[test]
@@ -1452,6 +1743,47 @@ mod tests {
         );
     }
 
+    /// `clear` empties a small index with one fill and a large one entry by
+    /// entry; after either, no set survives and every index slot is free.
+    #[test]
+    fn used_directions_clear_leaves_nothing_on_either_branch() {
+        let node_count = 1 << 16;
+        let mut store = UsedDirections::with_node_count(node_count);
+        let long: Vec<NodeId> = (0..3000).map(|i| (i * 7919) % node_count).collect();
+        let short: Vec<NodeId> = (0..12).map(|i| (i * 104_729) % node_count).collect();
+        let mark = |store: &mut UsedDirections, nodes: &[NodeId]| {
+            for (i, &node) in nodes.iter().enumerate() {
+                store.insert(node, Direction::from_index(i % 4));
+            }
+        };
+        let assert_empty = |store: &UsedDirections, nodes: &[NodeId], what: &str| {
+            assert_eq!(store.touched_count(), 0, "{what}");
+            assert!(store.index.iter().all(|&slot| slot == EMPTY_SLOT), "{what}");
+            assert!(
+                nodes.iter().all(|&node| store.at(node).is_empty()),
+                "{what}"
+            );
+        };
+        // A long route fills its grown index densely: the one-fill branch.
+        mark(&mut store, &long);
+        assert!(8 * store.touched_count() >= store.index.len());
+        store.clear();
+        assert_empty(&store, &long, "fill branch");
+        // A short route in the grown index: the entry-by-entry branch.
+        mark(&mut store, &short);
+        assert!(8 * store.touched_count() < store.index.len());
+        store.clear();
+        assert_empty(&store, &short, "pop branch");
+        // The store still works after both, with its capacity kept.
+        let bytes = store.heap_bytes();
+        mark(&mut store, &short);
+        assert_eq!(
+            store.at(short[5]),
+            DirectionSet::from_iter([Direction::from_index(1)])
+        );
+        assert_eq!(store.heap_bytes(), bytes);
+    }
+
     #[test]
     #[should_panic(expected = "outside")]
     fn used_directions_reject_out_of_range_nodes_on_insert() {
@@ -1503,6 +1835,53 @@ mod tests {
         assert!(
             small_bytes > 0 && small_bytes <= 2048,
             "{small_bytes} bytes"
+        );
+    }
+
+    /// A probe's carried coordinate follows every forward hop and backtrack of a
+    /// seeded random walk on a 3-D mesh, and `reset` restores it.
+    #[test]
+    fn the_carried_coordinate_follows_every_hop_and_reset() {
+        use lgfi_sim::DetRng;
+        let mesh = Mesh::new(&[5, 4, 6]);
+        let mut rng = DetRng::seed_from_u64(0xc0_0d);
+        let node = |rng: &mut DetRng| rng.below(mesh.node_count());
+        let mut probe = Probe::new(&mesh, node(&mut rng), node(&mut rng));
+        let (mut forwards, mut backtracks) = (0, 0);
+        for walk in 0..40 {
+            let (source, dest) = (node(&mut rng), node(&mut rng));
+            probe.reset(&mesh, source, dest);
+            assert_eq!(probe.current_coord(), &mesh.coord_of(source), "walk {walk}");
+            assert_eq!(probe.dest_coord(), &mesh.coord_of(dest), "walk {walk}");
+            assert_eq!(probe.initial_distance, mesh.distance(source, dest));
+            for _ in 0..60 {
+                if probe.status != ProbeStatus::InFlight {
+                    break;
+                }
+                let back = probe.path.len() > 1 && rng.chance(0.35);
+                let decision = if back {
+                    backtracks += 1;
+                    RoutingDecision::Backtrack
+                } else {
+                    let dirs: Vec<Direction> = Direction::iter_all(3)
+                        .filter(|&d| mesh.neighbor_id(probe.current, d).is_some())
+                        .collect();
+                    forwards += 1;
+                    RoutingDecision::Forward(*rng.choose(&dirs))
+                };
+                let from = probe.current;
+                probe.apply(&mesh, decision);
+                assert_eq!(probe.current_coord(), &mesh.coord_of(probe.current));
+                assert_eq!(probe.distance(), mesh.distance(probe.current, dest));
+                if back {
+                    let to = mesh.coord_of(probe.current);
+                    assert_eq!(probe.incoming, mesh.coord_of(from).direction_to(&to));
+                }
+            }
+        }
+        assert!(
+            forwards > 500 && backtracks > 200,
+            "{forwards} {backtracks}"
         );
     }
 

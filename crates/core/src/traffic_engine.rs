@@ -9,12 +9,13 @@
 //! fault-tolerant routers under (BookSim-style), with a synchronous cycle loop:
 //!
 //! 1. **Decision phase** — every in-flight worm's *head* asks its router (the same
-//!    [`RouteCtx`]/Algorithm-3 machinery the probe engines use) for a next hop
-//!    against the *frozen* cycle state.  Decisions are pure per-packet functions, so
-//!    they shard across `traffic_threads` workers over contiguous launch-order
-//!    chunks on a persistent [`lgfi_sim::WorkerPool`] (spawned lazily on the first
-//!    parallel cycle, parked between cycles), each worker holding its own router
-//!    instance — the launch-order-merge discipline of the round and probe engines.
+//!    [`RouteCtx`](crate::routing::RouteCtx)/Algorithm-3 machinery the probe
+//!    engines use) for a next hop against the *frozen* cycle state.  Decisions are
+//!    pure per-packet functions, so they shard across `traffic_threads` workers over
+//!    contiguous launch-order chunks on a persistent [`lgfi_sim::WorkerPool`]
+//!    (spawned lazily on the first parallel cycle, parked between cycles), each
+//!    worker holding its own router instance — the launch-order-merge discipline
+//!    of the round and probe engines.
 //! 2. **Arbitration phase** — serial, in packet-launch order (packet-id tie-break):
 //!    each worm advances through the [`LinkState`] layer.  The head needs a free
 //!    virtual channel of its class, a downstream buffer credit and link bandwidth
@@ -64,10 +65,7 @@ use crate::block::FaultyBlock;
 use crate::boundary::BoundaryMap;
 use crate::linkstate::LinkState;
 use crate::network::VisibleArena;
-use crate::routing::{
-    fill_neighbor_slots, CsrBoundary, NeighborSlot, Probe, ProbeStatus, RouteCtx, Router,
-    RoutingDecision,
-};
+use crate::routing::{CsrBoundary, NeighborSlot, Probe, ProbeStatus, Router, RoutingDecision};
 use crate::status::NodeStatus;
 use lgfi_sim::{TrafficStats, NO_OWNER};
 use lgfi_topology::{Direction, Mesh, NodeId};
@@ -805,20 +803,13 @@ fn decide_packet(
     if env.statuses[p.probe.dest] == NodeStatus::Faulty {
         return CycleRequest::Finish(ProbeStatus::Unreachable);
     }
-    let current_coord = mesh.coord_of(current);
-    let dest_coord = mesh.coord_of(p.probe.dest);
-    fill_neighbor_slots(mesh, env.statuses, current, &mut p.slots);
-    let ctx = RouteCtx {
+    let ctx = p.probe.route_ctx(
         mesh,
-        current: &current_coord,
-        dest: &dest_coord,
-        current_status: env.statuses[current],
-        neighbors: &p.slots,
-        boundary_info: env.boundary.at(current),
-        global_blocks: env.blocks,
-        used: p.probe.used_here(),
-        incoming: p.probe.incoming,
-    };
+        env.statuses,
+        env.boundary.at(current),
+        env.blocks,
+        &mut p.slots,
+    );
     match router.decide(&ctx) {
         RoutingDecision::Forward(dir) => CycleRequest::Hop(dir),
         RoutingDecision::Backtrack => CycleRequest::Backtrack,
@@ -826,21 +817,14 @@ fn decide_packet(
     }
 }
 
-/// The dimension-order (deadlock-free) direction from `current` towards `dest`:
-/// correct the first dimension whose coordinate differs.  `None` when already
-/// there.
-fn dor_direction(mesh: &Mesh, current: NodeId, dest: NodeId) -> Option<Direction> {
-    let c = mesh.coord_of(current);
-    let d = mesh.coord_of(dest);
-    for dim in 0..mesh.ndim() {
-        if c[dim] < d[dim] {
-            return Some(Direction::pos(dim));
-        }
-        if c[dim] > d[dim] {
-            return Some(Direction::neg(dim));
-        }
-    }
-    None
+/// The dimension-order (deadlock-free) direction of `probe` towards its
+/// destination, read from its carried coordinates: correct the first dimension
+/// whose coordinate differs.  `None` when already there.
+fn dor_direction(probe: &Probe) -> Option<Direction> {
+    let (c, d) = (probe.current_coord(), probe.dest_coord());
+    (0..c.ndim())
+        .find(|&dim| c[dim] != d[dim])
+        .map(|dim| Direction::new(dim, c[dim] < d[dim]))
 }
 
 /// Tries to extend the worm's head one link in the router's direction `dir`,
@@ -863,9 +847,9 @@ fn advance_head(
     // Escape class: when the adaptive path is VC- or credit-blocked, a
     // dimension-order hop on the reserved VC 0 is always deadlock-free.
     if choice.is_none() && link.has_escape_vc() {
-        if let Some(dor) = dor_direction(mesh, from, p.probe.dest) {
+        if let Some(dor) = dor_direction(&p.probe) {
             let usable = mesh
-                .neighbor_id(from, dor)
+                .neighbor_at(from, p.probe.current_coord(), dor)
                 .is_some_and(|nb| env.statuses[nb] == NodeStatus::Enabled);
             if usable && link.escape_vc_free(from, dor) && link.credits(from, dor) > 0 {
                 choice = Some((dor, 0));

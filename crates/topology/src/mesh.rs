@@ -174,6 +174,42 @@ impl Mesh {
         }
     }
 
+    /// The neighbor of node `id`, whose coordinate is `c`, in direction `dir`, if it
+    /// exists.
+    ///
+    /// A bounds test on `c` and one stride: no division, so a walker that carries
+    /// its coordinate takes a hop in plain arithmetic.  `c` must be
+    /// `coord_of(id)`.
+    #[inline]
+    pub fn neighbor_at(&self, id: NodeId, c: &Coord, dir: Direction) -> Option<NodeId> {
+        let x = c[dir.dim];
+        if dir.positive {
+            (x + 1 < self.dims[dir.dim]).then(|| id + self.strides[dir.dim])
+        } else {
+            (x > 0).then(|| id - self.strides[dir.dim])
+        }
+    }
+
+    /// The direction of the hop from node `from`, whose coordinate is `c`, to
+    /// `to`, or `None` if the two are not mesh neighbors.
+    ///
+    /// The id difference names the dimension: the strides of dimensions with a
+    /// radix above 1 are distinct, and radix-1 dimensions are skipped because each
+    /// shares its stride with the dimension before it.  A bounds test on `c` then
+    /// rejects a pair that is adjacent only across a row wrap.  `c` must be
+    /// `coord_of(from)`.
+    #[inline]
+    pub fn hop_direction(&self, from: NodeId, c: &Coord, to: NodeId) -> Option<Direction> {
+        let (positive, gap) = if to > from {
+            (true, to - from)
+        } else {
+            (false, from - to)
+        };
+        let dim = (0..self.ndim()).find(|&d| self.dims[d] > 1 && self.strides[d] == gap)?;
+        let dir = Direction::new(dim, positive);
+        self.neighbor_at(from, c, dir).map(|_| dir)
+    }
+
     /// All (direction, neighbor) pairs of a coordinate.
     pub fn neighbors(&self, c: &Coord) -> Vec<(Direction, Coord)> {
         let mut out = Vec::with_capacity(2 * self.ndim());
@@ -355,6 +391,36 @@ mod tests {
                 assert_eq!(mesh.coord_of(id).step(dir), mesh.coord_of(nid));
             }
         }
+    }
+
+    /// The division-free forms agree with the id- and coordinate-based ones on
+    /// shapes with radix-1 dimensions (whose stride equals the next dimension
+    /// before's) and on every id pair, including pairs one apart across a row wrap.
+    #[test]
+    fn coordinate_hops_match_id_and_coordinate_neighbors() {
+        for dims in [&[5, 1, 3][..], &[1, 7], &[4, 4, 4], &[2, 3]] {
+            let mesh = Mesh::new(dims);
+            for id in mesh.node_ids() {
+                let c = mesh.coord_of(id);
+                for dir in Direction::iter_all(mesh.ndim()) {
+                    assert_eq!(
+                        mesh.neighbor_at(id, &c, dir),
+                        mesh.neighbor_id(id, dir),
+                        "{mesh:?} node {id} {dir:?}"
+                    );
+                }
+                for to in mesh.node_ids() {
+                    assert_eq!(
+                        mesh.hop_direction(id, &c, to),
+                        c.direction_to(&mesh.coord_of(to)),
+                        "{mesh:?} hop {id} -> {to}"
+                    );
+                }
+            }
+        }
+        // (0,2) -> (1,0) in [2, 3] is one id apart but not a link.
+        let mesh = Mesh::new(&[2, 3]);
+        assert_eq!(mesh.hop_direction(2, &mesh.coord_of(2), 3), None);
     }
 
     #[test]

@@ -71,29 +71,15 @@ fn main() {
         let mut probe =
             lgfi::core::routing::Probe::new(&mesh, mesh.id_of(&source), mesh.id_of(&dest));
         let router = LgfiRouter::new();
-        let dest_coord = mesh.coord_of(probe.dest);
         let mut slots = Vec::new();
         while probe.status == ProbeStatus::InFlight && probe.steps < 10_000 {
-            let current_coord = mesh.coord_of(probe.current);
-            lgfi::core::routing::fill_neighbor_slots(
+            let ctx = probe.route_ctx(
                 &mesh,
                 labeling.statuses(),
-                probe.current,
+                lgfi::core::routing::BoundaryInfo::all(boundary.entries(probe.current)),
+                blocks.blocks(),
                 &mut slots,
             );
-            let ctx = lgfi::core::routing::RouteCtx {
-                mesh: &mesh,
-                current: &current_coord,
-                dest: &dest_coord,
-                current_status: labeling.status(probe.current),
-                neighbors: &slots,
-                boundary_info: lgfi::core::routing::BoundaryInfo::all(
-                    boundary.entries(probe.current),
-                ),
-                global_blocks: blocks.blocks(),
-                used: probe.used_here(),
-                incoming: probe.incoming,
-            };
             let decision = router.decide(&ctx);
             probe.apply(&mesh, decision);
         }
